@@ -16,7 +16,6 @@ kept as an independent check on that derivation.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -27,7 +26,7 @@ from .model import (
     Dataset,
     GaussianLocationModel,
     NormalDist,
-    _std_normal_cdf,
+    _normal_cdf,
     normal_quantile,
     posterior,
 )
@@ -146,22 +145,13 @@ def _component_values(mix: MixtureCdf, grid: np.ndarray) -> np.ndarray:
     params = mix._normal_params
     if params is not None:
         means, sds = params
-        safe = np.where(sds > 0.0, sds, 1.0)
-        values = _std_normal_cdf((grid[None, :] - means[:, None]) / safe[:, None])
-        degenerate = sds == 0.0
-        if degenerate.any():
-            values[degenerate] = (grid[None, :] >= means[degenerate][:, None]).astype(float)
-        return values
-    rows = []
-    for comp in mix.components:
-        if isinstance(comp, NormalDist):
-            if comp.is_degenerate:
-                rows.append((grid >= comp.mean).astype(float))
-            else:
-                rows.append(np.asarray(_std_normal_cdf((grid - comp.mean) / comp.sd)))
-        else:
-            rows.append(np.array([float(comp(float(u))) for u in grid]))
-    return np.vstack(rows)
+        return _normal_cdf(grid[None, :], means[:, None], sds[:, None])
+    return np.vstack([
+        _normal_cdf(grid, comp.mean, comp.sd)
+        if isinstance(comp, NormalDist)
+        else np.array([float(comp(float(u))) for u in grid])
+        for comp in mix.components
+    ])
 
 
 def _mixture_mean(values: np.ndarray) -> np.ndarray:
@@ -278,26 +268,17 @@ def bayesbag_mc(
     model: GaussianLocationModel,
     data: Dataset,
     cfg: BagConfig,
-    max_workers: int | None = None,
 ) -> MixtureCdf:
     """Monte Carlo bagged posterior: mixture of replicate posterior CDFs.
 
     Replicate ``b`` resamples the data with the stream keyed by
-    ``(cfg.seed, b)``, so results do not depend on execution order; pass
-    ``max_workers`` to compute replicates on a thread pool.
+    ``(cfg.seed, b)``, so results do not depend on execution order.
     """
     center = _resolve_center(model, data, cfg.center_policy)
-
-    def replicate_posterior(b: int) -> NormalDist:
-        perturbed = resample(cfg.scheme, model, data, center, Seed(cfg.seed, b))
-        return posterior(model, perturbed)
-
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            components = list(pool.map(replicate_posterior, range(cfg.replicates)))
-    else:
-        components = [replicate_posterior(b) for b in range(cfg.replicates)]
-    return MixtureCdf(tuple(components))
+    return MixtureCdf(tuple(
+        posterior(model, resample(cfg.scheme, model, data, center, Seed(cfg.seed, b)))
+        for b in range(cfg.replicates)
+    ))
 
 
 def bayesbag_exact(
@@ -322,8 +303,8 @@ def _hermgauss(nodes: int):
 
 def _gauss_hermite_cdf(u, post_sd, law, nodes):
     t, w = _hermgauss(nodes)
-    shifted = (u - law.mean - math.sqrt(2.0 * law.variance) * t) / post_sd
-    return float(w @ _std_normal_cdf(shifted)) / math.sqrt(math.pi)
+    replicate_means = law.mean + math.sqrt(2.0 * law.variance) * t
+    return float(w @ _normal_cdf(u, replicate_means, post_sd)) / math.sqrt(math.pi)
 
 
 def bayesbag_quadrature(

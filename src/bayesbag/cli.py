@@ -10,31 +10,37 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .bagging import (
+    DEFAULT_SEED,
     BagConfig,
     CenterPolicy,
     bayesbag_exact,
     bayesbag_mc,
     credible_interval,
 )
-from .diagnostics import GridSpec, bagged_cdf_curves, build_band
-from .model import Dataset, GaussianLocationModel, normal_cdf, posterior
-from .resampling import ResampleScheme, Seed
+from .diagnostics import (
+    DEFAULT_GRID_POINTS,
+    GridSpec,
+    _normal_curve,
+    _report_from_curves,
+    bagged_cdf_curves,
+    build_band,
+)
+from .model import Dataset, GaussianLocationModel, posterior
+from .resampling import ResampleScheme, SchemeKind, Seed
 
 __all__ = [
-    "RunConfig",
     "read_observations",
     "synthetic_dataset",
     "main",
     "entrypoint",
 ]
 
-DEFAULT_SEED = 42
 DEFAULT_TAU_SQ = 4.0
 DEFAULT_SIGMA_SQ = 1.0
 DEFAULT_LEVEL = 0.95
@@ -85,7 +91,7 @@ def read_observations(path: Path) -> Dataset:
 def synthetic_dataset(n: int, theta: float, sigma_sq: float, master: int) -> Dataset:
     """n i.i.d. draws from N(theta, sigma_sq) on the stream keyed by master."""
     if n < 1:
-        raise InputError("empty dataset")
+        raise InputError("--synthetic-n must be at least 1")
     draws = theta + math.sqrt(sigma_sq) * Seed(master, 0).rng().standard_normal(n)
     return Dataset(tuple(float(v) for v in draws))
 
@@ -95,87 +101,46 @@ def _derived_master(master: int, tag: int) -> int:
     return int(np.random.SeedSequence((master, tag)).generate_state(1, np.uint64)[0])
 
 
-@dataclass
-class RunConfig:
-    """Validated configuration for the bag/curves commands."""
-
-    tau_sq: float = DEFAULT_TAU_SQ
-    sigma_sq: float = DEFAULT_SIGMA_SQ
-    scheme: ResampleScheme = ResampleScheme.parametric()
-    replicates: int = 1000
-    seed: int = DEFAULT_SEED
-    level: float = DEFAULT_LEVEL
-    center_policy: CenterPolicy = CenterPolicy.SAMPLE_MEAN
-    input_path: Path | None = None
-    synthetic_n: int | None = None
-    synthetic_theta: float | None = None
-    synthetic_seed: int | None = None
-    out_dir: Path = Path(".")
-    grid_points: int = 401
-
-    def __post_init__(self):
-        if not 0.0 < self.level < 1.0:
-            raise InputError("level must be in (0, 1)")
-        if self.replicates < 1:
-            raise InputError("B must be at least 1")
-        if self.grid_points < 2:
-            raise InputError("grid-points must be at least 2")
-        has_synthetic = self.synthetic_n is not None
-        if (self.input_path is None) == (not has_synthetic):
-            raise InputError("give exactly one of --input or --synthetic-n")
-
-    def model(self) -> GaussianLocationModel:
-        try:
-            return GaussianLocationModel(self.tau_sq, self.sigma_sq)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-
-    def load_dataset(self) -> Dataset:
-        if self.input_path is not None:
-            try:
-                return read_observations(self.input_path)
-            except ValueError as exc:
-                raise InputError(str(exc)) from exc
-        theta = self.synthetic_theta if self.synthetic_theta is not None else 0.0
-        gen_seed = self.synthetic_seed if self.synthetic_seed is not None else DEFAULT_SEED
-        return synthetic_dataset(self.synthetic_n, theta, self.sigma_sq, gen_seed)
-
-    def bag_config(self) -> BagConfig:
-        return BagConfig(
-            replicates=self.replicates,
-            scheme=self.scheme,
-            seed=self.seed,
-            center_policy=self.center_policy,
-        )
-
-
-def _scheme_from_args(args) -> ResampleScheme:
-    if args.scheme == "parametric":
-        return ResampleScheme.parametric()
-    if args.scheme == "nonparametric":
-        return ResampleScheme.nonparametric()
+def _checked(flag: str, build, *args, **kwargs):
+    """``build(...)``, with its ValueError turned into an InputError naming ``flag``."""
     try:
-        return ResampleScheme.subsample(args.m)
+        return build(*args, **kwargs)
     except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        raise InputError(f"{flag}: {exc}") from exc
 
 
-def _config_from_args(args, grid_points: int = 401) -> RunConfig:
-    return RunConfig(
-        tau_sq=args.tau_sq,
-        sigma_sq=args.sigma_sq,
-        scheme=_scheme_from_args(args),
-        replicates=args.B,
-        seed=args.seed,
-        level=args.level,
-        center_policy=CenterPolicy.MAP if args.center == "map" else CenterPolicy.SAMPLE_MEAN,
-        input_path=args.input,
-        synthetic_n=args.synthetic_n,
-        synthetic_theta=args.synthetic_theta,
-        synthetic_seed=args.synthetic_seed,
-        out_dir=args.out,
-        grid_points=grid_points,
-    )
+def _resolve(args):
+    """(model, dataset, bag config, grid spec) of a bag/curves invocation.
+
+    The domain types validate their own values; this maps each rejection to
+    the flag that supplied it.  Only the credible level, which no domain
+    type holds until the interval is computed, is checked here, and so is
+    the full-data posterior: no replicate has more observations, so when
+    its variance is positive every replicate's is too.
+    """
+    if not 0.0 < args.level < 1.0:
+        raise InputError("--level must be in (0, 1)")
+    if (args.input is None) == (args.synthetic_n is None):
+        raise InputError("give exactly one of --input or --synthetic-n")
+    model = _checked("--tau-sq/--sigma-sq", GaussianLocationModel, args.tau_sq, args.sigma_sq)
+    if args.input is not None:
+        data = _checked("--input", read_observations, args.input)
+    else:
+        data = _checked(
+            "--synthetic-theta/--synthetic-seed", synthetic_dataset,
+            args.synthetic_n, args.synthetic_theta, model.sigma_sq, args.synthetic_seed,
+        )
+    if _checked("--tau-sq/--sigma-sq", posterior, model, data).is_degenerate:
+        raise InputError("--tau-sq/--sigma-sq: the posterior variance underflows to 0")
+    kind = SchemeKind(args.scheme)
+    if kind is SchemeKind.SUBSAMPLE:
+        scheme = _checked("--m", ResampleScheme.subsample, args.m)
+        _checked("--m", scheme.subsample_size_for, data.n)
+    else:
+        scheme = ResampleScheme(kind)
+    cfg = _checked("--B/--seed", BagConfig, args.B, scheme, args.seed, CenterPolicy(args.center))
+    grid_spec = _checked("--grid-points", GridSpec, args.grid_points)
+    return model, data, cfg, grid_spec
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -193,6 +158,7 @@ def _write_dataset(path: Path, data: Dataset) -> None:
 
 def cmd_table1(args) -> int:
     """Two-row reference table: raw and bagged 95% intervals for n=1 and n=10."""
+    cfg = _checked("--B/--seed", BagConfig, args.B, seed=args.seed)
     model = GaussianLocationModel(DEFAULT_TAU_SQ, DEFAULT_SIGMA_SQ)
     rows = []
     for tag, n in enumerate((1, 10), start=1):
@@ -204,12 +170,8 @@ def cmd_table1(args) -> int:
             data = Dataset((REFERENCE_SAMPLE_MEANS[n],) * n)
         post_iv = credible_interval(posterior(model, data), DEFAULT_LEVEL)
         if args.mc:
-            cfg = BagConfig(
-                replicates=args.B,
-                scheme=ResampleScheme.parametric(),
-                seed=_derived_master(args.seed, 100 + tag),
-            )
-            bag_iv = credible_interval(bayesbag_mc(model, data, cfg), DEFAULT_LEVEL)
+            mix = bayesbag_mc(model, data, replace(cfg, seed=_derived_master(args.seed, 100 + tag)))
+            bag_iv = credible_interval(mix, DEFAULT_LEVEL)
             method = f"mc(B={args.B})"
         else:
             bag_iv = credible_interval(bayesbag_exact(model, data), DEFAULT_LEVEL)
@@ -255,29 +217,22 @@ def cmd_table1(args) -> int:
 
 def cmd_bag(args) -> int:
     """Full pipeline on user data: report plus raw/bagged CDF curves."""
-    cfg = _config_from_args(args)
-    model = cfg.model()
-    data = cfg.load_dataset()
-    bag_cfg = cfg.bag_config()
-    grid_spec = GridSpec(points=cfg.grid_points)
+    model, data, cfg, grid_spec = _resolve(args)
+    curves = bagged_cdf_curves(model, data, cfg, grid_spec, level=args.level)
+    report = _report_from_curves(model, data, args.level, curves)
+    grid, post_curve, bag_curve = curves[:3]
+    post_iv, bag_iv = report.posterior_interval, report.bagged_interval
 
-    grid, post_curve, bag_curve, bag_iv, degenerate = bagged_cdf_curves(
-        model, data, bag_cfg, grid_spec, level=cfg.level
-    )
-    post_iv = credible_interval(posterior(model, data), cfg.level)
-    widening = bag_iv.width / post_iv.width
-    ks = float(np.max(np.abs(post_curve - bag_curve)))
-
-    pct = 100.0 * cfg.level
+    pct = 100.0 * args.level
     print(f"n = {data.n}, sample mean = {_FULL(data.mean)}")
     print(f"posterior {pct:g}% interval: [{_FULL(post_iv.lo)}, {_FULL(post_iv.hi)}]")
     print(f"bayesbag  {pct:g}% interval: [{_FULL(bag_iv.lo)}, {_FULL(bag_iv.hi)}]")
-    print(f"widening ratio: {_FULL(widening)}")
-    print(f"ks distance (grid): {_FULL(ks)}")
-    if degenerate:
+    print(f"widening ratio: {_FULL(report.widening_ratio)}")
+    print(f"ks distance (grid): {_FULL(report.ks_distance)}")
+    if report.degenerate_resampling_flag:
         print("warning: degenerate resampling (zero resampling variability)")
 
-    out = Path(cfg.out_dir)
+    out = args.out
     _write_csv(
         out / "report.csv",
         "n,level,posterior_lo,posterior_hi,bayesbag_lo,bayesbag_hi,"
@@ -285,14 +240,14 @@ def cmd_bag(args) -> int:
         [
             [
                 str(data.n),
-                f"{cfg.level:g}",
+                f"{args.level:g}",
                 _FULL(post_iv.lo),
                 _FULL(post_iv.hi),
                 _FULL(bag_iv.lo),
                 _FULL(bag_iv.hi),
-                _FULL(widening),
-                _FULL(ks),
-                str(int(degenerate)),
+                _FULL(report.widening_ratio),
+                _FULL(report.ks_distance),
+                str(int(report.degenerate_resampling_flag)),
             ]
         ],
     )
@@ -304,18 +259,18 @@ def cmd_bag(args) -> int:
             for u, fp, fb in zip(grid, post_curve, bag_curve)
         ),
     )
-    if cfg.input_path is None:
+    if args.input is None:
         _write_dataset(out / "data.csv", data)
     return 0
 
 
 def cmd_curves(args) -> int:
     """Long-format CSV of every replicate CDF plus mean and posterior curves."""
-    cfg = _config_from_args(args, grid_points=args.grid_points)
-    model = cfg.model()
-    data = cfg.load_dataset()
-    band = build_band(model, data, cfg.bag_config(), GridSpec(points=cfg.grid_points))
-    post = posterior(model, data)
+    model, data, cfg, grid_spec = _resolve(args)
+    if cfg.replicates < 2:
+        raise InputError("--B: a band needs at least 2 replicates")
+    band = build_band(model, data, cfg, grid_spec)
+    post_curve = _normal_curve(posterior(model, data), band.grid)
 
     def rows():
         for b in range(band.replicates):
@@ -323,12 +278,12 @@ def cmd_curves(args) -> int:
                 yield [str(b), _FULL(u), _FULL(value)]
         for u, value in zip(band.grid, band.mean_curve):
             yield [str(MEAN_CURVE_ID), _FULL(u), _FULL(value)]
-        for u in band.grid:
-            yield [str(POSTERIOR_CURVE_ID), _FULL(u), _FULL(normal_cdf(u, post))]
+        for u, value in zip(band.grid, post_curve):
+            yield [str(POSTERIOR_CURVE_ID), _FULL(u), _FULL(value)]
 
-    out = Path(cfg.out_dir)
+    out = args.out
     _write_csv(out / "curves.csv", "replicate_id,u,F", rows())
-    if cfg.input_path is None:
+    if args.input is None:
         _write_dataset(out / "data.csv", data)
     print(f"wrote {band.replicates} replicate curves on {band.grid.shape[0]} grid points")
     return 0
@@ -337,8 +292,8 @@ def cmd_curves(args) -> int:
 def _add_common_flags(sub) -> None:
     sub.add_argument("--input", type=Path, default=None, help="CSV/text file, one observation per line")
     sub.add_argument("--synthetic-n", type=int, default=None, help="generate n observations instead of reading a file")
-    sub.add_argument("--synthetic-theta", type=float, default=None, help="true location for generated data (default 0)")
-    sub.add_argument("--synthetic-seed", type=int, default=None, help="seed for generated data (default = fixed default seed)")
+    sub.add_argument("--synthetic-theta", type=float, default=0.0, help="true location for generated data (default 0)")
+    sub.add_argument("--synthetic-seed", type=int, default=DEFAULT_SEED, help="seed for generated data (default = fixed default seed)")
     sub.add_argument("--tau-sq", type=float, default=DEFAULT_TAU_SQ, help="prior variance")
     sub.add_argument("--sigma-sq", type=float, default=DEFAULT_SIGMA_SQ, help="known noise variance")
     sub.add_argument("--scheme", choices=("parametric", "nonparametric", "subsample"), default="parametric")
@@ -369,11 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     bag = subparsers.add_parser("bag", help="bagging report for a dataset")
     _add_common_flags(bag)
-    bag.set_defaults(func=cmd_bag)
+    bag.set_defaults(func=cmd_bag, grid_points=DEFAULT_GRID_POINTS)
 
     curves = subparsers.add_parser("curves", help="export replicate CDF curves")
     _add_common_flags(curves)
-    curves.add_argument("--grid-points", type=int, default=401)
+    curves.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
     curves.set_defaults(func=cmd_curves)
 
     return parser
@@ -396,3 +351,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -16,7 +16,7 @@ from .bagging import (
     bayesbag_mc,
     credible_interval,
 )
-from .model import Dataset, GaussianLocationModel, NormalDist, _std_normal_cdf, posterior
+from .model import Dataset, GaussianLocationModel, NormalDist, _normal_cdf, posterior
 from .resampling import SchemeKind
 
 __all__ = [
@@ -146,9 +146,9 @@ def build_band(
 
 
 def _normal_curve(dist: NormalDist, grid: np.ndarray) -> np.ndarray:
-    if dist.is_degenerate:
-        return (grid >= dist.mean).astype(float)
-    return np.asarray(_std_normal_cdf((grid - dist.mean) / dist.sd))
+    # every single-normal curve of this layer passes here, so a tracer that
+    # wraps this function and _component_values counts all evaluated cells
+    return _normal_cdf(grid, dist.mean, dist.sd)
 
 
 def bagged_cdf_curves(
@@ -201,9 +201,13 @@ def make_report(
     ``ks_distance`` is the sup distance between the raw-posterior and bagged
     CDFs evaluated on the grid (grid-approximate, not the exact sup over R).
     """
-    _, post_curve, bag_curve, bagged_interval, degenerate = bagged_cdf_curves(
-        model, data, cfg, grid_spec, exact, level
-    )
+    curves = bagged_cdf_curves(model, data, cfg, grid_spec, exact, level)
+    return _report_from_curves(model, data, level, curves)
+
+
+def _report_from_curves(model, data, level, curves) -> BagReport:
+    """The :func:`make_report` comparison for a :func:`bagged_cdf_curves` result."""
+    _, post_curve, bag_curve, bagged_interval, degenerate = curves
     posterior_interval = credible_interval(posterior(model, data), level)
     widening = bagged_interval.width / posterior_interval.width
     ks = float(np.max(np.abs(post_curve - bag_curve)))

@@ -32,71 +32,22 @@ __all__ = [
     "normal_quantile",
 ]
 
-_SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _std_normal_cdf(z):
-    """Standard normal CDF, Phi(z) = erfc(-z / sqrt(2)) / 2.
+def _normal_cdf(u, mean, sd):
+    """Normal CDF at ``u`` for broadcastable ``u``, ``mean`` and ``sd``.
 
-    Accepts scalars or numpy arrays.  The complementary error function keeps
-    the absolute error below 1e-15 everywhere, including the far tails where
-    a plain ``0.5 * (1 + erf(...))`` would lose all precision.
+    ``special.ndtr`` keeps full precision in both tails.  Where ``sd == 0``
+    the value is the right-continuous unit step at ``mean``, the CDF of a
+    degenerate (point-mass) distribution.
     """
-    return 0.5 * special.erfc(np.negative(z) / _SQRT2)
-
-
-# Rational initializer for the standard normal quantile (Acklam's
-# approximation, |relative error| < 1.15e-9 on (0, 1)); Halley steps against
-# the erfc-based CDF then push the round-trip error below 1e-13.
-_QUANT_A = (
-    -3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-    1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00,
-)
-_QUANT_B = (
-    -5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-    6.680131188771972e01, -1.328068155288572e01,
-)
-_QUANT_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-    -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00,
-)
-_QUANT_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-    3.754408661907416e00,
-)
-_QUANT_P_LOW = 0.02425
-
-
-def _std_normal_quantile(p: float) -> float:
-    # Work on the lower half only: 1 - p is exact for p >= 0.5 (Sterbenz),
-    # and on the lower tail Phi keeps full relative precision, so the Halley
-    # correction does not cancel the way it would against values near 1.
-    if p > 0.5:
-        return -_std_normal_quantile(1.0 - p)
-    a, b, c, d = _QUANT_A, _QUANT_B, _QUANT_C, _QUANT_D
-    if p < _QUANT_P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    else:
-        q = p - 0.5
-        r = q * q
-        x = (
-            (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5])
-            * q
-            / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-        )
-    # Beyond |x| ~ 37 the CDF underflows and exp(x^2/2) overflows; the
-    # initializer alone is already far more accurate than anything the
-    # round-trip contract can observe out there.
-    if abs(x) < 37.0:
-        for _ in range(2):
-            err = float(_std_normal_cdf(x)) - p
-            u = err * _SQRT_2PI * math.exp(0.5 * x * x)
-            x -= u / (1.0 + 0.5 * x * u)
-    return x
+    sd = np.asarray(sd, dtype=float)
+    degenerate = sd == 0.0
+    values = special.ndtr((u - mean) / np.where(degenerate, 1.0, sd))
+    if degenerate.any():
+        values = np.where(degenerate, np.greater_equal(u, mean), values)
+    return values
 
 
 @dataclass(frozen=True)
@@ -111,6 +62,9 @@ class GaussianLocationModel:
             value = float(getattr(self, name))
             if not math.isfinite(value) or value <= 0.0:
                 raise ValueError(f"{name} must be positive and finite")
+            if math.isinf(1.0 / value):
+                # the posterior precision 1/tau_sq + n/sigma_sq would be infinite
+                raise ValueError(f"{name} is too small: its reciprocal overflows")
             object.__setattr__(self, name, value)
 
     def prior(self) -> "NormalDist":
@@ -131,6 +85,10 @@ class Dataset:
         if not all(math.isfinite(x) for x in obs):
             raise ValueError("non-finite input")
         object.__setattr__(self, "observations", obs)
+        try:
+            self.mean  # cache it now, so an overflowing sum is rejected as input
+        except OverflowError:
+            raise ValueError("sum of observations overflows") from None
 
     @property
     def n(self) -> int:
@@ -196,9 +154,7 @@ def normal_cdf(u: float, dist: NormalDist) -> float:
     u = float(u)
     if math.isnan(u):
         raise ValueError("non-finite input")
-    if dist.is_degenerate:
-        return 1.0 if u >= dist.mean else 0.0
-    return float(_std_normal_cdf((u - dist.mean) / dist.sd))
+    return float(_normal_cdf(u, dist.mean, dist.sd))
 
 
 def normal_pdf(r: float, dist: NormalDist) -> float:
@@ -224,4 +180,4 @@ def normal_quantile(p: float, dist: NormalDist) -> float:
         raise ValueError("probability out of range")
     if dist.is_degenerate:
         raise ValueError("degenerate distribution has no quantile function")
-    return dist.mean + dist.sd * _std_normal_quantile(p)
+    return dist.mean + dist.sd * float(special.ndtri(p))

@@ -70,6 +70,16 @@ class ResampleScheme:
         """Draw ``size`` observations without replacement (default ceil(n/2))."""
         return cls(SchemeKind.SUBSAMPLE, size)
 
+    def subsample_size_for(self, n: int) -> int:
+        """Subsample size against ``n`` observations (default ceil(n/2)).
+
+        Raises ``ValueError`` when the requested size exceeds ``n``.
+        """
+        m = self.subsample_size if self.subsample_size is not None else (n + 1) // 2
+        if m > n:
+            raise ValueError("subsample larger than data")
+        return m
+
 
 @dataclass(frozen=True)
 class Seed:
@@ -121,10 +131,6 @@ def map_point_estimate(model: GaussianLocationModel, data: Dataset) -> PointEsti
     return PointEstimate(posterior(model, data).mean)
 
 
-def _default_subsample_size(n: int) -> int:
-    return (n + 1) // 2
-
-
 def resample(
     scheme: ResampleScheme,
     model: GaussianLocationModel,
@@ -147,11 +153,7 @@ def resample(
         values = np.asarray(data.observations)
         draws = values[rng.integers(0, n, size=n)]
     elif scheme.kind is SchemeKind.SUBSAMPLE:
-        m = scheme.subsample_size
-        if m is None:
-            m = _default_subsample_size(n)
-        if m > n:
-            raise ValueError("subsample larger than data")
+        m = scheme.subsample_size_for(n)
         values = np.asarray(data.observations)
         draws = values[rng.choice(n, size=m, replace=False)]
     else:  # pragma: no cover - enum is exhaustive

@@ -17,6 +17,7 @@ from bayesbag import (
     MixtureCdf,
     NormalDist,
     ResampleScheme,
+    Seed,
     bayesbag_exact,
     bayesbag_mc,
     bayesbag_quadrature,
@@ -26,7 +27,9 @@ from bayesbag import (
     mixture_quantile,
     normal_cdf,
     normal_quantile,
+    point_estimate,
     posterior,
+    resample,
 )
 from bayesbag.bagging import _component_values, _mixture_mean
 from bayesbag.cli import main
@@ -170,13 +173,16 @@ def test_criterion_6_property_suites(tmp_path):
     rng.shuffle(shuffled)
     assert posterior(MODEL, Dataset(tuple(values))) == posterior(MODEL, Dataset(tuple(shuffled)))
 
-    # seed determinism: repeated runs identical, serial matches concurrent
+    # seed determinism: repeated runs identical, and replicate b depends only
+    # on its own stream (checked in reverse order)
     cfg = BagConfig(replicates=400, seed=MC_SEED)
     first = bayesbag_mc(MODEL, DATA_10, cfg)
     second = bayesbag_mc(MODEL, DATA_10, cfg)
-    threaded = bayesbag_mc(MODEL, DATA_10, cfg, max_workers=4)
     assert first.components == second.components
-    assert first.components == threaded.components
+    center = point_estimate(DATA_10)
+    for b in reversed(range(cfg.replicates)):
+        replicate = resample(cfg.scheme, MODEL, DATA_10, center, Seed(cfg.seed, b))
+        assert first.components[b] == posterior(MODEL, replicate)
 
     # CLI byte-level determinism
     run_a, run_b = tmp_path / "a", tmp_path / "b"

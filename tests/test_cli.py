@@ -2,10 +2,16 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import bayesbag
 from bayesbag import (
     BagConfig,
     Dataset,
@@ -72,6 +78,18 @@ class TestTable1:
         row_a = read_rows(a / "table1.csv")[0]
         row_b = read_rows(b / "table1.csv")[0]
         assert row_a["posterior_lo"] != row_b["posterior_lo"]
+
+    def test_module_entry_point(self, tmp_path):
+        src = str(Path(bayesbag.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "bayesbag.cli", "table1", "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "95% credible intervals" in result.stdout
+        assert [r["n"] for r in read_rows(tmp_path / "table1.csv")] == ["1", "10"]
 
 
 class TestBag:
@@ -237,3 +255,76 @@ class TestHelpers:
         data = synthetic_dataset(200_000, 1.31, 1.0, 5)
         assert data.mean == pytest.approx(1.31, abs=3 / math.sqrt(200_000))
         assert np.var(data.observations) == pytest.approx(1.0, abs=0.02)
+
+
+# Out-of-range values of the numeric flags, each paired with the commands
+# that take the flag.  Runs stay tiny: n = SMALL_N synthetic observations,
+# B = 2 unless --B is the flag under test (argparse keeps the last value).
+SMALL_N = 3
+BASE_ARGS = {
+    "table1": ["table1", "--mc", "--B=2"],
+    "bag": ["bag", f"--synthetic-n={SMALL_N}", "--scheme=subsample", "--B=2"],
+    "curves": ["curves", f"--synthetic-n={SMALL_N}", "--scheme=subsample", "--B=2"],
+}
+bad_seeds = st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64))
+bad_variances = st.one_of(st.floats(max_value=0.0), st.sampled_from([math.inf, math.nan]))
+OUT_OF_RANGE = [
+    ("--seed", ("table1", "bag", "curves"), bad_seeds),
+    ("--synthetic-seed", ("bag", "curves"), bad_seeds),
+    ("--B", ("table1", "bag", "curves"), st.integers(max_value=0)),
+    (
+        "--level",
+        ("bag", "curves"),
+        st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0), st.just(math.nan)),
+    ),
+    ("--tau-sq", ("bag", "curves"), bad_variances),
+    ("--sigma-sq", ("bag", "curves"), bad_variances),
+    ("--m", ("bag", "curves"), st.one_of(st.integers(max_value=0), st.integers(min_value=SMALL_N + 1))),
+    ("--grid-points", ("curves",), st.integers(max_value=1)),
+]
+out_of_range_invocations = st.one_of([
+    st.tuples(st.just(flag), st.sampled_from(commands), values)
+    for flag, commands, values in OUT_OF_RANGE
+])
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["bag", "--synthetic-n", "5", "--seed", "-1"], "--seed"),
+            (["bag", "--synthetic-n", "5", "--synthetic-seed", "-3"], "--synthetic-seed"),
+            (["bag", "--synthetic-n", "3", "--scheme", "subsample", "--m", "5"], "--m"),
+            (["table1", "--mc", "--B", "0"], "--B"),
+            (["curves", "--synthetic-n", "5", "--B", "1"], "--B"),
+            (["bag", "--synthetic-n", "5", "--tau-sq", "1e-320"], "--tau-sq"),
+            (["bag", "--synthetic-n", "3", "--sigma-sq", "1e-308"], "--sigma-sq"),
+            (["bag", "--input", "OVERFLOWING_FILE"], "--input"),
+        ],
+        ids=[
+            "seed-negative", "synthetic-seed-negative", "m-above-n", "table1-mc-B-zero",
+            "curves-B-one", "tau-sq-underflow", "sigma-sq-posterior-underflow",
+            "input-sum-overflow",
+        ],
+    )
+    def test_bad_input_exits_2_naming_its_flag(self, tmp_path, capsys, argv, flag):
+        huge = tmp_path / "huge.csv"
+        write_lines(huge, ["1e308", "1e308"])  # the sum overflows
+        argv = [str(huge) if a == "OVERFLOWING_FILE" else a for a in argv]
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert flag in err
+
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(invocation=out_of_range_invocations)
+    def test_out_of_range_flag_exits_2(self, tmp_path, capsys, invocation):
+        flag, command, value = invocation
+        rc = main([*BASE_ARGS[command], f"{flag}={value}", f"--out={tmp_path}"])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert flag in err
