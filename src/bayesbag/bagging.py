@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +27,8 @@ from .model import (
     GaussianLocationModel,
     NormalDist,
     _normal_cdf,
+    _normal_quantile,
+    _posterior_moments,
     normal_quantile,
     posterior,
 )
@@ -37,7 +39,7 @@ from .resampling import (
     bootstrap_mean_law,
     map_point_estimate,
     point_estimate,
-    resample,
+    replicate_means,
 )
 
 __all__ = [
@@ -106,46 +108,76 @@ class QuantilePair:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True)
 class MixtureCdf:
     """Equal-weight mixture of component CDFs.
 
     Components are either :class:`NormalDist` instances or callables mapping
     a scalar to a CDF value, so posteriors from arbitrary models can be
     bagged through the same machinery.
+
+    An all-normal mixture is held as arrays: ``means``, ``variances`` and
+    ``sds`` (``sqrt(variances)``, so ``sds[b]`` equals ``NormalDist.sd`` of
+    component ``b``).  :meth:`normal` builds one from those arrays directly;
+    a ``components`` tuple of :class:`NormalDist` is converted to them.  For
+    the array form ``components`` is built from the arrays on first access.
+    A mixture holding any callable has ``means``, ``variances`` and ``sds``
+    set to ``None`` and is evaluated component by component.
     """
 
-    components: tuple
-
-    def __post_init__(self):
-        components = tuple(self.components)
+    def __init__(self, components):
+        components = tuple(components)
         if not components:
             raise ValueError("mixture needs at least one component")
         for comp in components:
             if not isinstance(comp, NormalDist) and not callable(comp):
                 raise TypeError("components must be NormalDist or callable CDFs")
-        object.__setattr__(self, "components", components)
+        self._components = components
+        self.means = self.variances = self.sds = None
+        if all(isinstance(c, NormalDist) for c in components):
+            self._set_arrays([c.mean for c in components], [c.variance for c in components])
+
+    @classmethod
+    def normal(cls, means, variances) -> "MixtureCdf":
+        """All-normal mixture whose component ``b`` is N(means[b], variances[b])."""
+        mix = cls.__new__(cls)
+        mix._components = None
+        mix._set_arrays(means, variances)
+        return mix
+
+    def _set_arrays(self, means, variances):
+        means = np.array(means, dtype=float)
+        variances = np.array(variances, dtype=float)
+        if means.ndim != 1 or means.shape != variances.shape:
+            raise ValueError("means and variances must be 1-d arrays of one length")
+        if means.size == 0:
+            raise ValueError("mixture needs at least one component")
+        if not np.isfinite(means).all():
+            raise ValueError("mean must be finite")
+        if not (np.isfinite(variances).all() and (variances >= 0.0).all()):
+            raise ValueError("variance must be finite and non-negative")
+        sds = np.sqrt(variances)
+        for array in (means, variances, sds):
+            array.flags.writeable = False
+        self.means, self.variances, self.sds = means, variances, sds
+
+    @property
+    def components(self) -> tuple:
+        if self._components is None:
+            self._components = tuple(
+                NormalDist(m, v) for m, v in zip(self.means.tolist(), self.variances.tolist())
+            )
+        return self._components
 
     def __len__(self) -> int:
-        return len(self.components)
-
-    @cached_property
-    def _normal_params(self):
-        # (means, sds) arrays when every component is a NormalDist, else None;
-        # cached because quantile bisection evaluates the mixture repeatedly.
-        if all(isinstance(c, NormalDist) for c in self.components):
-            means = np.array([c.mean for c in self.components])
-            sds = np.array([c.sd for c in self.components])
-            return means, sds
-        return None
+        if self.means is not None:
+            return self.means.shape[0]
+        return len(self._components)
 
 
 def _component_values(mix: MixtureCdf, grid: np.ndarray) -> np.ndarray:
     """CDF value of every component at every grid point, shape (B, len(grid))."""
-    params = mix._normal_params
-    if params is not None:
-        means, sds = params
-        return _normal_cdf(grid[None, :], means[:, None], sds[:, None])
+    if mix.means is not None:
+        return _normal_cdf(grid[None, :], mix.means[:, None], mix.sds[:, None])
     return np.vstack([
         _normal_cdf(grid, comp.mean, comp.sd)
         if isinstance(comp, NormalDist)
@@ -171,19 +203,19 @@ def mixture_cdf_eval(mix: MixtureCdf, u: float) -> float:
 
 
 def _bracket(mix: MixtureCdf, p: float) -> tuple[float, float]:
-    points = []
-    degenerate_count = 0
-    for comp in mix.components:
-        if isinstance(comp, NormalDist):
-            if comp.is_degenerate:
-                degenerate_count += 1
-                points.append(comp.mean)
-            else:
-                points.append(normal_quantile(p, comp))
-    if degenerate_count == len(mix.components):
+    if mix.means is not None:
+        means, sds = mix.means, mix.sds
+    else:
+        normals = [c for c in mix.components if isinstance(c, NormalDist)]
+        means = np.array([c.mean for c in normals])
+        sds = np.array([c.sd for c in normals])
+    degenerate = sds == 0.0
+    if degenerate.sum() == len(mix):
         raise ValueError("all-degenerate mixture has no continuous quantile")
-    if points:
-        lo, hi = min(points), max(points)
+    # a point mass brackets with its location, the others with their quantile
+    points = np.where(degenerate, means, _normal_quantile(p, means, sds))
+    if points.size:
+        lo, hi = float(points.min()), float(points.max())
     else:
         lo, hi = -1.0, 1.0
     if lo == hi:
@@ -272,13 +304,16 @@ def bayesbag_mc(
     """Monte Carlo bagged posterior: mixture of replicate posterior CDFs.
 
     Replicate ``b`` resamples the data with the stream keyed by
-    ``(cfg.seed, b)``, so results do not depend on execution order.
+    ``(cfg.seed, b)``, so results do not depend on execution order.  Its
+    posterior depends on the replicate only through its size and mean, so
+    the posterior formula is applied once to the array of replicate means;
+    component ``b`` equals ``posterior(model, resample(..., Seed(cfg.seed,
+    b)))`` bit for bit.
     """
     center = _resolve_center(model, data, cfg.center_policy)
-    return MixtureCdf(tuple(
-        posterior(model, resample(cfg.scheme, model, data, center, Seed(cfg.seed, b)))
-        for b in range(cfg.replicates)
-    ))
+    size, means = replicate_means(cfg.scheme, model, data, center, cfg.seed, cfg.replicates)
+    post_means, variance = _posterior_moments(model, size, means)
+    return MixtureCdf.normal(post_means, np.full(cfg.replicates, variance))
 
 
 def bayesbag_exact(

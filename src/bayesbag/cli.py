@@ -55,6 +55,12 @@ REFERENCE_TRUE_LOCATION = 1.31
 MEAN_CURVE_ID = -1
 POSTERIOR_CURVE_ID = -2
 
+# A posterior sd must span this many float spacings (math.ulp) of the data's
+# magnitude.  mixture_quantile stops at a relative bracket width of 1e-14,
+# which is 45 to 90 spacings; at 2**10 that stays below a tenth of an sd.
+# Below about one spacing the interval endpoints round together.
+RESOLUTION_ULPS = 2**10
+
 _FULL = "{:.17g}".format
 _ROUNDED = "{:.2f}".format
 
@@ -115,8 +121,12 @@ def _resolve(args):
     The domain types validate their own values; this maps each rejection to
     the flag that supplied it.  Only the credible level, which no domain
     type holds until the interval is computed, is checked here, and so is
-    the full-data posterior: no replicate has more observations, so when
-    its variance is positive every replicate's is too.
+    the full-data posterior: its sd must span ``RESOLUTION_ULPS`` float
+    spacings at the largest of ``|x|`` and ``|posterior mean|``.  That also
+    rejects a variance that underflows to 0.  No replicate has more
+    observations, so every replicate posterior is at least as wide; and
+    with sd bounded by ``sqrt(tau_sq)``, the bound caps ``|x|`` far below
+    where a replicate sum could overflow.
     """
     if not 0.0 < args.level < 1.0:
         raise InputError("--level must be in (0, 1)")
@@ -130,8 +140,15 @@ def _resolve(args):
             "--synthetic-theta/--synthetic-seed", synthetic_dataset,
             args.synthetic_n, args.synthetic_theta, model.sigma_sq, args.synthetic_seed,
         )
-    if _checked("--tau-sq/--sigma-sq", posterior, model, data).is_degenerate:
-        raise InputError("--tau-sq/--sigma-sq: the posterior variance underflows to 0")
+    post = _checked("--tau-sq/--sigma-sq", posterior, model, data)
+    scale = max(max(map(abs, data.observations)), abs(post.mean))
+    if post.sd < RESOLUTION_ULPS * math.ulp(scale):
+        source = "--input" if args.input is not None else "--synthetic-theta"
+        raise InputError(
+            f"{source}/--tau-sq/--sigma-sq: the posterior sd {post.sd:.3g} is below "
+            f"{RESOLUTION_ULPS} float spacings at the data's magnitude {scale:.3g}, "
+            "so its credible interval cannot be resolved"
+        )
     kind = SchemeKind(args.scheme)
     if kind is SchemeKind.SUBSAMPLE:
         scheme = _checked("--m", ResampleScheme.subsample, args.m)

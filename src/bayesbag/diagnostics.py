@@ -176,12 +176,14 @@ def bagged_cdf_curves(
         return grid, post_curve, _normal_curve(bag, grid), interval, False
 
     mix = bayesbag_mc(model, data, cfg)
-    degenerate = len(set(mix.components)) == 1
+    degenerate = bool(
+        np.all(mix.means == mix.means[0]) and np.all(mix.variances == mix.variances[0])
+    )
     if degenerate:
         # identical replicates: evaluate the single component directly so
         # the report is exact (widening ratio 1, ks 0 when it equals the raw
         # posterior) instead of carrying bisection noise
-        bag = mix.components[0]
+        bag = NormalDist(mix.means[0], mix.variances[0])
         interval = credible_interval(bag, level)
         return grid, post_curve, _normal_curve(bag, grid), interval, True
     bag_curve = _mixture_mean(_component_values(mix, grid))

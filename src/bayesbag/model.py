@@ -50,6 +50,16 @@ def _normal_cdf(u, mean, sd):
     return values
 
 
+def _normal_quantile(p, mean, sd):
+    """Normal quantile ``mean + sd * z(p)`` for broadcastable ``mean`` and ``sd``.
+
+    Location-scale exact: ``z`` is the standard normal quantile, so quantile
+    ratios between distributions reduce to their sd ratios without extra
+    rounding.
+    """
+    return mean + sd * special.ndtri(p)
+
+
 @dataclass(frozen=True)
 class GaussianLocationModel:
     """Normal prior (variance ``tau_sq``) with known noise variance ``sigma_sq``."""
@@ -133,16 +143,25 @@ class NormalDist:
         return self.variance == 0.0
 
 
-def posterior(model: GaussianLocationModel, data: Dataset) -> NormalDist:
-    """Posterior of the location given ``data``.
+def _posterior_moments(model: GaussianLocationModel, n: int, xbar):
+    """Posterior ``(mean, variance)`` after ``n`` observations with mean ``xbar``.
 
     mean = n * xbar / (n + sigma_sq / tau_sq),
     variance = 1 / (1 / tau_sq + n / sigma_sq).
+
+    ``xbar`` may be an array of sample means of equal size ``n``; each
+    element is computed with the same operations as the scalar form, so an
+    element equals the scalar result bit for bit.
     """
-    shrink = data.n + model.sigma_sq / model.tau_sq
-    mean = data.n * data.mean / shrink
-    variance = 1.0 / (1.0 / model.tau_sq + data.n / model.sigma_sq)
-    return NormalDist(mean, variance)
+    shrink = n + model.sigma_sq / model.tau_sq
+    mean = n * xbar / shrink
+    variance = 1.0 / (1.0 / model.tau_sq + n / model.sigma_sq)
+    return mean, variance
+
+
+def posterior(model: GaussianLocationModel, data: Dataset) -> NormalDist:
+    """Posterior of the location given ``data`` (see :func:`_posterior_moments`)."""
+    return NormalDist(*_posterior_moments(model, data.n, data.mean))
 
 
 def normal_cdf(u: float, dist: NormalDist) -> float:
@@ -171,13 +190,11 @@ def normal_pdf(r: float, dist: NormalDist) -> float:
 def normal_quantile(p: float, dist: NormalDist) -> float:
     """Quantile (inverse CDF) of ``dist`` at probability ``p`` in (0, 1).
 
-    Location-scale exact: returns ``mean + sd * z(p)`` where ``z`` is the
-    standard normal quantile, so quantile ratios between distributions reduce
-    to their sd ratios without extra rounding.
+    Returns ``mean + sd * z(p)`` (see :func:`_normal_quantile`).
     """
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError("probability out of range")
     if dist.is_degenerate:
         raise ValueError("degenerate distribution has no quantile function")
-    return dist.mean + dist.sd * float(special.ndtri(p))
+    return float(_normal_quantile(p, dist.mean, dist.sd))

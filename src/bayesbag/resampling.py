@@ -7,6 +7,12 @@ results.  Streams are numpy PCG64 generators seeded through
 ``SeedSequence((master, b))``; Gaussian variates use numpy's ziggurat
 ``standard_normal``.  Both choices are pinned for a release so that seeded
 outputs stay stable.
+
+Replicate ``b``'s posterior depends on its ``(master, b)`` stream only through
+the replicate's size and its ``math.fsum`` mean.  :func:`replicate_means`
+returns exactly those, from the same draws as :func:`resample`, without
+building a :class:`Dataset` per replicate; the Monte Carlo bag is computed
+from them.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ __all__ = [
     "point_estimate",
     "map_point_estimate",
     "resample",
+    "replicate_means",
     "bootstrap_mean_law",
 ]
 
@@ -131,6 +138,25 @@ def map_point_estimate(model: GaussianLocationModel, data: Dataset) -> PointEsti
     return PointEstimate(posterior(model, data).mean)
 
 
+def _draws(
+    scheme: ResampleScheme,
+    model: GaussianLocationModel,
+    values: np.ndarray,
+    center: PointEstimate,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """One replicate's observations, drawn from ``rng`` (see :func:`resample`)."""
+    n = values.shape[0]
+    if scheme.kind is SchemeKind.PARAMETRIC_BOOTSTRAP:
+        return center.value + math.sqrt(model.sigma_sq) * rng.standard_normal(n)
+    if scheme.kind is SchemeKind.NONPARAMETRIC_BOOTSTRAP:
+        return values[rng.integers(0, n, size=n)]
+    if scheme.kind is SchemeKind.SUBSAMPLE:
+        m = scheme.subsample_size_for(n)
+        return values[rng.choice(n, size=m, replace=False)]
+    raise ValueError(f"unknown scheme kind: {scheme.kind}")  # pragma: no cover
+
+
 def resample(
     scheme: ResampleScheme,
     model: GaussianLocationModel,
@@ -145,20 +171,38 @@ def resample(
     and variance ``model.sigma_sq``.  Subsample: m distinct observations
     drawn without replacement.  Deterministic given ``seed``.
     """
-    rng = seed.rng()
-    n = data.n
-    if scheme.kind is SchemeKind.PARAMETRIC_BOOTSTRAP:
-        draws = center.value + math.sqrt(model.sigma_sq) * rng.standard_normal(n)
-    elif scheme.kind is SchemeKind.NONPARAMETRIC_BOOTSTRAP:
-        values = np.asarray(data.observations)
-        draws = values[rng.integers(0, n, size=n)]
-    elif scheme.kind is SchemeKind.SUBSAMPLE:
-        m = scheme.subsample_size_for(n)
-        values = np.asarray(data.observations)
-        draws = values[rng.choice(n, size=m, replace=False)]
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValueError(f"unknown scheme kind: {scheme.kind}")
-    return Dataset(tuple(float(v) for v in draws))
+    values = np.asarray(data.observations)
+    return Dataset(tuple(_draws(scheme, model, values, center, seed.rng()).tolist()))
+
+
+def replicate_means(
+    scheme: ResampleScheme,
+    model: GaussianLocationModel,
+    data: Dataset,
+    center: PointEstimate,
+    master: int,
+    replicates: int,
+) -> tuple[int, np.ndarray]:
+    """Size and ``fsum`` mean of replicates ``0 .. replicates-1`` of ``master``.
+
+    Element ``b`` equals ``resample(scheme, model, data, center,
+    Seed(master, b)).mean`` bit for bit, and every replicate has the same
+    size.  Raises ``ValueError`` when a replicate's sum overflows or its
+    mean is not finite.
+    """
+    values = np.asarray(data.observations)
+    means = np.empty(replicates)
+    size = 0
+    try:
+        for b in range(replicates):
+            draws = _draws(scheme, model, values, center, Seed(master, b).rng())
+            size = draws.shape[0]
+            means[b] = math.fsum(draws.tolist()) / size
+    except OverflowError:
+        raise ValueError("sum of replicate observations overflows") from None
+    if not np.isfinite(means).all():
+        raise ValueError("non-finite replicate mean")
+    return size, means
 
 
 def bootstrap_mean_law(

@@ -226,6 +226,30 @@ class TestBayesbagMc:
             replicate = resample(cfg.scheme, MODEL, DATA_10, center, Seed(cfg.seed, b))
             assert serial.components[b] == posterior(MODEL, replicate)
 
+    @pytest.mark.parametrize(
+        "scheme, policy",
+        [
+            (ResampleScheme.parametric(), CenterPolicy.SAMPLE_MEAN),
+            (ResampleScheme.parametric(), CenterPolicy.MAP),
+            (ResampleScheme.nonparametric(), CenterPolicy.SAMPLE_MEAN),
+            (ResampleScheme.subsample(), CenterPolicy.SAMPLE_MEAN),
+            (ResampleScheme.subsample(137), CenterPolicy.SAMPLE_MEAN),
+        ],
+        ids=["parametric-mean", "parametric-map", "nonparametric", "subsample-default", "subsample-m137"],
+    )
+    def test_components_equal_resample_path_bit_for_bit(self, scheme, policy):
+        data = Dataset(tuple(np.random.default_rng(11).normal(0.4, 1.3, 1000).tolist()))
+        cfg = BagConfig(replicates=64, scheme=scheme, seed=2718, center_policy=policy)
+        mix = bayesbag_mc(MODEL, data, cfg)
+        assert len(mix) == cfg.replicates
+        center = (
+            map_point_estimate(MODEL, data) if policy is CenterPolicy.MAP else point_estimate(data)
+        )
+        for b in range(cfg.replicates):
+            post = posterior(MODEL, resample(scheme, MODEL, data, center, Seed(cfg.seed, b)))
+            assert mix.means[b] == post.mean
+            assert mix.sds[b] == post.sd
+
     def test_paper_interval_reproduced_at_large_B(self):
         cfg = BagConfig(replicates=10_000, seed=42)
         interval = credible_interval(bayesbag_mc(MODEL, DATA_1, cfg))
@@ -298,6 +322,30 @@ class TestConfigAndTypes:
             MixtureCdf(())
         with pytest.raises(TypeError):
             MixtureCdf((3.0,))
+        for means, variances in (
+            ([], []),
+            ([0.0, 1.0], [1.0]),
+            ([[0.0]], [[1.0]]),
+            ([math.inf], [1.0]),
+            ([0.0], [-1.0]),
+            ([0.0], [math.nan]),
+        ):
+            with pytest.raises(ValueError):
+                MixtureCdf.normal(means, variances)
+
+    def test_array_and_component_forms_agree(self):
+        components = (NormalDist(0.5, 2.0), NormalDist(-1.0, 0.0), NormalDist(3.0, 0.25))
+        from_tuple = MixtureCdf(components)
+        from_arrays = MixtureCdf.normal([0.5, -1.0, 3.0], [2.0, 0.0, 0.25])
+        assert from_arrays.components == components
+        assert from_tuple.components == components
+        for mix in (from_tuple, from_arrays):
+            assert len(mix) == 3
+            assert mix.means.tolist() == [c.mean for c in components]
+            assert mix.sds.tolist() == [c.sd for c in components]
+        assert mixture_quantile(from_tuple, 0.3) == mixture_quantile(from_arrays, 0.3)
+        mixed = MixtureCdf((components[0], lambda u: 0.5))
+        assert mixed.means is None and len(mixed) == 2
 
     def test_exact_equals_law_plus_posterior_variance(self):
         # independent derivation check: integral of the posterior CDF against

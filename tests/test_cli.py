@@ -5,11 +5,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import bayesbag
 from bayesbag import (
@@ -300,17 +301,37 @@ class TestInputErrors:
             (["bag", "--synthetic-n", "5", "--tau-sq", "1e-320"], "--tau-sq"),
             (["bag", "--synthetic-n", "3", "--sigma-sq", "1e-308"], "--sigma-sq"),
             (["bag", "--input", "OVERFLOWING_FILE"], "--input"),
+            # the posterior sd is below the float spacing at the data's magnitude
+            (["bag", "--input", "FILE_1E308", "--scheme", "nonparametric"], "--input"),
+            (["bag", "--input", "FILE_1E308", "--scheme", "subsample", "--m", "1"], "--input"),
+            (["bag", "--input", "FILE_8E307", "--scheme", "nonparametric"], "--input"),
+            (["bag", "--input", "FILE_8E307", "--scheme", "subsample", "--m", "1"], "--input"),
+            *[
+                (["bag", "--synthetic-n", "3", "--synthetic-theta", "5",
+                  "--sigma-sq", "1e-300", "--scheme", scheme], "--sigma-sq")
+                for scheme in ("parametric", "nonparametric", "subsample")
+            ],
+            (["bag", "--synthetic-n", "100", "--synthetic-theta", "1",
+              "--sigma-sq", "1e-40", "--scheme", "nonparametric"], "--sigma-sq"),
         ],
         ids=[
             "seed-negative", "synthetic-seed-negative", "m-above-n", "table1-mc-B-zero",
             "curves-B-one", "tau-sq-underflow", "sigma-sq-posterior-underflow",
-            "input-sum-overflow",
+            "input-sum-overflow", "input-1e308-nonparametric", "input-1e308-subsample-m1",
+            "input-8e307-nonparametric", "input-8e307-subsample-m1",
+            "theta-5-sigma-sq-1e-300-parametric", "theta-5-sigma-sq-1e-300-nonparametric",
+            "theta-5-sigma-sq-1e-300-subsample", "theta-1-sigma-sq-1e-40-nonparametric",
         ],
     )
     def test_bad_input_exits_2_naming_its_flag(self, tmp_path, capsys, argv, flag):
-        huge = tmp_path / "huge.csv"
-        write_lines(huge, ["1e308", "1e308"])  # the sum overflows
-        argv = [str(huge) if a == "OVERFLOWING_FILE" else a for a in argv]
+        files = {
+            "OVERFLOWING_FILE": ["1e308", "1e308"],  # the sum overflows
+            "FILE_1E308": ["1e308", "-1e308"],
+            "FILE_8E307": ["8e307", "-8e307"],
+        }
+        for name, lines in files.items():
+            write_lines(tmp_path / f"{name}.csv", lines)
+        argv = [str(tmp_path / f"{a}.csv") if a in files else a for a in argv]
         assert main([*argv, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
@@ -328,3 +349,52 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert rc == 2, err
         assert flag in err
+
+
+# The documented valid range of the property test below: every scheme, n
+# 1..50, B 2..20, tau_sq and sigma_sq in [1e-6, 1e6], |theta| <= 1e6.
+SCHEMES = ("parametric", "nonparametric", "subsample")
+positive_variances = st.floats(min_value=1e-6, max_value=1e6)
+valid_bag_runs = st.fixed_dictionaries({
+    "scheme": st.sampled_from(SCHEMES),
+    "n": st.integers(min_value=1, max_value=50),
+    "B": st.integers(min_value=2, max_value=20),
+    "tau_sq": positive_variances,
+    "sigma_sq": positive_variances,
+    "theta": st.floats(min_value=-1e6, max_value=1e6),
+    "seed": st.integers(min_value=0, max_value=2**64 - 1),
+})
+
+
+def _extreme_run(scheme, theta, sigma_sq):
+    # outside the sampled range, yet resolvable in floats, so still valid
+    return {"scheme": scheme, "n": 3, "B": 2, "tau_sq": 4.0, "sigma_sq": sigma_sq,
+            "theta": theta, "seed": 42}
+
+
+def _with_examples(test):
+    for scheme in SCHEMES:
+        test = example(run=_extreme_run(scheme, 0.0, 1e-300))(test)  # data near 1e-150
+        test = example(run=_extreme_run(scheme, 1.0, 1e-20))(test)
+    return test
+
+
+class TestValidInputs:
+    @settings(max_examples=60, deadline=None)
+    @_with_examples
+    @given(run=valid_bag_runs)
+    def test_valid_input_exits_0_with_finite_report(self, run):
+        argv = [
+            "bag", f"--scheme={run['scheme']}", f"--synthetic-n={run['n']}",
+            f"--B={run['B']}", f"--tau-sq={run['tau_sq']!r}", f"--sigma-sq={run['sigma_sq']!r}",
+            f"--synthetic-theta={run['theta']!r}", f"--seed={run['seed']}",
+        ]
+        with tempfile.TemporaryDirectory() as out:
+            rc = main([*argv, f"--out={out}"])
+            assert rc == 0
+            (row,) = read_rows(Path(out) / "report.csv")
+        values = {key: float(value) for key, value in row.items()}
+        assert all(math.isfinite(value) for value in values.values())
+        assert values["posterior_lo"] < values["posterior_hi"]
+        assert values["bayesbag_lo"] < values["bayesbag_hi"]
+        assert 0.0 <= values["ks_distance"] <= 1.0

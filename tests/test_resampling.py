@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from bayesbag import resampling
 from bayesbag import (
     Dataset,
     GaussianLocationModel,
@@ -120,6 +121,39 @@ class TestResample:
             for b in range(10_000)
         ]
         assert np.mean(means) == pytest.approx(0.71, abs=0.02)
+
+
+class TestReplicateMeans:
+    def test_equal_resample_means(self):
+        data = Dataset((1.5, -2.0, 0.25, 9.0, 3.125))
+        for scheme, expected_size in (
+            (ResampleScheme.nonparametric(), 5),
+            (ResampleScheme.parametric(), 5),
+            (ResampleScheme.subsample(), 3),
+        ):
+            size, means = resampling.replicate_means(
+                scheme, MODEL, data, point_estimate(data), 17, 30
+            )
+            assert size == expected_size
+            for b in range(30):
+                out = resample(scheme, MODEL, data, point_estimate(data), Seed(17, b))
+                assert out.n == size
+                assert means[b] == out.mean
+
+    def test_replicate_sum_overflow_is_value_error(self):
+        # the data's sum is 0, but a replicate drawing 1e308 twice overflows
+        data = Dataset((1e308, -1e308))
+        with pytest.raises(ValueError, match="overflows"):
+            resampling.replicate_means(
+                ResampleScheme.nonparametric(), MODEL, data, point_estimate(data), 1, 20
+            )
+
+    def test_non_finite_replicate_mean_is_value_error(self, monkeypatch):
+        monkeypatch.setattr(resampling, "_draws", lambda *args: np.array([math.inf, 1.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            resampling.replicate_means(
+                ResampleScheme.nonparametric(), MODEL, DATA_10, point_estimate(DATA_10), 1, 3
+            )
 
 
 B_DIST = 10_000
