@@ -8,6 +8,7 @@ so every invocation is reproducible.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from dataclasses import replace
@@ -63,6 +64,13 @@ RESOLUTION_ULPS = 2**10
 
 _FULL = "{:.17g}".format
 _ROUNDED = "{:.2f}".format
+
+# "%.17g" % x writes the bytes of _FULL(x) for every float64: 17 significant
+# digits, which parse back to the same float.  Float CSVs are written from
+# %-templates of these cells, so a whole block of values is formatted in one
+# call and each fixed cell (a grid point, a replicate id) only once.
+_CELL = "%.17g"
+_DATA_BLOCK_ROWS = 4096
 
 
 class InputError(Exception):
@@ -160,17 +168,33 @@ def _resolve(args):
     return model, data, cfg, grid_spec
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def _write_csv(path: Path, header: str, blocks) -> None:
+    """Write ``header``, then each block (a string of whole lines) as it comes."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(header + "\n")
-        for row in rows:
-            handle.write(",".join(row) + "\n")
+        handle.writelines(blocks)
+
+
+def _line(cells) -> str:
+    return ",".join(cells) + "\n"
+
+
+def _fill(template: str, values) -> str:
+    """``template`` with its float cells, in order, set to ``values``."""
+    return template % tuple(np.ravel(values).tolist())
+
+
+def _grid_template(grid: np.ndarray, prefix: str, cells: int) -> str:
+    """One line per grid point: ``prefix``, the point, then ``cells`` float cells."""
+    tail = ("," + _CELL) * cells + "\n"
+    return "".join(prefix + _CELL % u + tail for u in grid.tolist())
 
 
 def _write_dataset(path: Path, data: Dataset) -> None:
-    # 17 significant digits round-trip float64 exactly
-    _write_csv(path, "observation", ([_FULL(x)] for x in data.observations))
+    obs = data.observations
+    chunks = (obs[i:i + _DATA_BLOCK_ROWS] for i in range(0, len(obs), _DATA_BLOCK_ROWS))
+    _write_csv(path, "observation", (_fill((_CELL + "\n") * len(c), c) for c in chunks))
 
 
 def cmd_table1(args) -> int:
@@ -214,7 +238,7 @@ def cmd_table1(args) -> int:
         "n,method,posterior_lo,posterior_hi,bayesbag_lo,bayesbag_hi,"
         "posterior_lo_2dp,posterior_hi_2dp,bayesbag_lo_2dp,bayesbag_hi_2dp",
         (
-            [
+            _line([
                 str(n),
                 method,
                 _FULL(post_iv.lo),
@@ -225,7 +249,7 @@ def cmd_table1(args) -> int:
                 _ROUNDED(post_iv.hi),
                 _ROUNDED(bag_iv.lo),
                 _ROUNDED(bag_iv.hi),
-            ]
+            ])
             for n, post_iv, bag_iv, method in rows
         ),
     )
@@ -255,7 +279,7 @@ def cmd_bag(args) -> int:
         "n,level,posterior_lo,posterior_hi,bayesbag_lo,bayesbag_hi,"
         "widening_ratio,ks_distance,degenerate_resampling",
         [
-            [
+            _line([
                 str(data.n),
                 f"{args.level:g}",
                 _FULL(post_iv.lo),
@@ -265,16 +289,13 @@ def cmd_bag(args) -> int:
                 _FULL(report.widening_ratio),
                 _FULL(report.ks_distance),
                 str(int(report.degenerate_resampling_flag)),
-            ]
+            ])
         ],
     )
     _write_csv(
         out / "cdf.csv",
         "u,F_posterior,F_bayesbag",
-        (
-            [_FULL(u), _FULL(fp), _FULL(fb)]
-            for u, fp, fb in zip(grid, post_curve, bag_curve)
-        ),
+        [_fill(_grid_template(grid, "", 2), np.column_stack((post_curve, bag_curve)))],
     )
     if args.input is None:
         _write_dataset(out / "data.csv", data)
@@ -289,17 +310,18 @@ def cmd_curves(args) -> int:
     band = build_band(model, data, cfg, grid_spec)
     post_curve = _normal_curve(posterior(model, data), band.grid)
 
-    def rows():
-        for b in range(band.replicates):
-            for u, value in zip(band.grid, band.per_replicate[b]):
-                yield [str(b), _FULL(u), _FULL(value)]
-        for u, value in zip(band.grid, band.mean_curve):
-            yield [str(MEAN_CURVE_ID), _FULL(u), _FULL(value)]
-        for u, value in zip(band.grid, post_curve):
-            yield [str(POSTERIOR_CURVE_ID), _FULL(u), _FULL(value)]
-
+    # one block per curve: the grid template with the curve's id put in
+    template = _grid_template(band.grid, "{0},", 1)
+    curves = itertools.chain(
+        enumerate(band.per_replicate),
+        ((MEAN_CURVE_ID, band.mean_curve), (POSTERIOR_CURVE_ID, post_curve)),
+    )
     out = args.out
-    _write_csv(out / "curves.csv", "replicate_id,u,F", rows())
+    _write_csv(
+        out / "curves.csv",
+        "replicate_id,u,F",
+        (_fill(template.format(b), curve) for b, curve in curves),
+    )
     if args.input is None:
         _write_dataset(out / "data.csv", data)
     print(f"wrote {band.replicates} replicate curves on {band.grid.shape[0]} grid points")

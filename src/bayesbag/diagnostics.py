@@ -30,6 +30,9 @@ __all__ = [
 ]
 
 DEFAULT_GRID_POINTS = 401
+# cells of the replicate-by-grid matrix held at once for a bagged curve:
+# 2**18 float64 cells are 2 MiB, whatever B and the grid size
+_CURVE_CHUNK_CELLS = 2**18
 ENVELOPE_MINMAX = "minmax"
 ENVELOPE_QUANTILE = "quantile"
 
@@ -151,6 +154,20 @@ def _normal_curve(dist: NormalDist, grid: np.ndarray) -> np.ndarray:
     return _normal_cdf(grid, dist.mean, dist.sd)
 
 
+def _mixture_curve(mix, grid: np.ndarray) -> np.ndarray:
+    """``_mixture_mean(_component_values(mix, grid))``, over column chunks of the grid.
+
+    Every column is still reduced over all B rows in the same pairwise
+    order, so the curve is the same bit for bit; only a (B, chunk) block of
+    the matrix is held at a time.
+    """
+    step = max(1, _CURVE_CHUNK_CELLS // len(mix))
+    return np.concatenate([
+        _mixture_mean(_component_values(mix, grid[i:i + step]))
+        for i in range(0, grid.shape[0], step)
+    ])
+
+
 def bagged_cdf_curves(
     model: GaussianLocationModel,
     data: Dataset,
@@ -186,7 +203,7 @@ def bagged_cdf_curves(
         bag = NormalDist(mix.means[0], mix.variances[0])
         interval = credible_interval(bag, level)
         return grid, post_curve, _normal_curve(bag, grid), interval, True
-    bag_curve = _mixture_mean(_component_values(mix, grid))
+    bag_curve = _mixture_curve(mix, grid)
     return grid, post_curve, bag_curve, credible_interval(mix, level), False
 
 

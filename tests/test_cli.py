@@ -17,13 +17,24 @@ from bayesbag import (
     BagConfig,
     Dataset,
     GaussianLocationModel,
+    GridSpec,
+    ResampleScheme,
+    bagged_cdf_curves,
     bayesbag_exact,
+    build_band,
     credible_interval,
     make_report,
     normal_cdf,
     posterior,
 )
-from bayesbag.cli import main, read_observations, synthetic_dataset
+from bayesbag.cli import (
+    _fill,
+    _grid_template,
+    _write_dataset,
+    main,
+    read_observations,
+    synthetic_dataset,
+)
 
 MODEL = GaussianLocationModel(4.0, 1.0)
 
@@ -241,6 +252,64 @@ class TestCurves:
         for row in read_rows(tmp_path / "curves.csv"):
             if row["replicate_id"] == "-2":
                 assert float(row["F"]) == normal_cdf(float(row["u"]), post)
+
+
+def per_cell_csv(header, rows):
+    """Reference CSV bytes: every float cell through "{:.17g}".format, row by row."""
+    def cell(value):
+        return value if isinstance(value, str) else "{:.17g}".format(value)
+
+    lines = [header] + [",".join(cell(value) for value in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class TestFloatCsv:
+    """The template writer writes the bytes of per-cell "{:.17g}".format."""
+
+    EDGE_FLOATS = (-0.0, 5e-324, 1e-300, 0.1, 1 - 2**-53, 1e16)
+
+    def test_files_match_per_cell_reference(self, tmp_path):
+        flags = ["--synthetic-n", "7", "--synthetic-theta", "0.3", "--synthetic-seed", "5",
+                 "--scheme", "nonparametric", "--B", "2", "--seed", "11"]
+        curves_dir, bag_dir = tmp_path / "curves", tmp_path / "bag"
+        assert main(["curves", *flags, "--grid-points", "2", "--out", str(curves_dir)]) == 0
+        assert main(["bag", *flags, "--out", str(bag_dir)]) == 0
+
+        data = synthetic_dataset(7, 0.3, 1.0, 5)
+        cfg = BagConfig(2, ResampleScheme.nonparametric(), 11)
+        band = build_band(MODEL, data, cfg, GridSpec(2))
+        post = posterior(MODEL, data)
+        curve_rows = [
+            (str(b), u, value)
+            for b in range(2)
+            for u, value in zip(band.grid, band.per_replicate[b])
+        ]
+        curve_rows += [("-1", u, value) for u, value in zip(band.grid, band.mean_curve)]
+        curve_rows += [("-2", u, normal_cdf(u, post)) for u in band.grid]
+        assert (curves_dir / "curves.csv").read_bytes() == per_cell_csv("replicate_id,u,F", curve_rows)
+
+        grid, post_curve, bag_curve = bagged_cdf_curves(MODEL, data, cfg)[:3]
+        assert (bag_dir / "cdf.csv").read_bytes() == per_cell_csv(
+            "u,F_posterior,F_bayesbag", zip(grid, post_curve, bag_curve)
+        )
+        data_rows = [(x,) for x in data.observations]
+        for out in (curves_dir, bag_dir):
+            assert (out / "data.csv").read_bytes() == per_cell_csv("observation", data_rows)
+
+    def test_edge_floats(self, tmp_path):
+        # 6,000 rows also cross a block boundary of the data writer
+        values = self.EDGE_FLOATS * 1000
+        _write_dataset(tmp_path / "data.csv", Dataset(values))
+        expected = per_cell_csv("observation", [(x,) for x in values])
+        assert (tmp_path / "data.csv").read_bytes() == expected
+
+        grid = np.array(self.EDGE_FLOATS)
+        block = _fill(_grid_template(grid, "{0},", 1).format(-2), grid[::-1])
+        rows = [("-2", u, value) for u, value in zip(grid, grid[::-1])]
+        assert block.encode("utf-8") == per_cell_csv("h", rows)[2:]
+        block = _fill(_grid_template(grid, "", 2), np.column_stack((grid, grid[::-1])))
+        rows = [(u, u, value) for u, value in zip(grid, grid[::-1])]
+        assert block.encode("utf-8") == per_cell_csv("h", rows)[2:]
 
 
 class TestHelpers:

@@ -1,6 +1,7 @@
 """Tests for CDF bands and raw-vs-bagged reports."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from bayesbag import (
     GaussianLocationModel,
     GridSpec,
     ResampleScheme,
+    bagged_cdf_curves,
     bayesbag_exact,
     bayesbag_mc,
     build_band,
@@ -20,6 +22,8 @@ from bayesbag import (
     normal_cdf,
     posterior,
 )
+from bayesbag.bagging import _component_values, _mixture_mean
+from bayesbag.diagnostics import _CURVE_CHUNK_CELLS, _mixture_curve
 
 MODEL = GaussianLocationModel(tau_sq=4.0, sigma_sq=1.0)
 DATA_1 = Dataset((1.325,))
@@ -156,3 +160,31 @@ class TestMakeReport:
         report = make_report(MODEL, varied, cfg)
         assert report.widening_ratio > 1.0
         assert not report.degenerate_resampling_flag
+
+
+class TestChunkedBagCurve:
+    REPLICATES = 1000
+    CHUNK = _CURVE_CHUNK_CELLS // REPLICATES
+
+    @pytest.mark.parametrize("points", [1, 2, CHUNK - 1, CHUNK + 1, 401])
+    def test_equals_full_matrix_mean_bit_for_bit(self, points):
+        varied = Dataset((0.2, 1.9, 0.7, 1.1, 0.5, 0.9, -0.4))
+        cfg = BagConfig(self.REPLICATES, ResampleScheme.nonparametric(), seed=8)
+        mix = bayesbag_mc(MODEL, varied, cfg)
+        grid = np.linspace(-3.0, 4.0, points)
+        np.testing.assert_array_equal(
+            _mixture_curve(mix, grid), _mixture_mean(_component_values(mix, grid))
+        )
+
+    def test_peak_memory_well_below_full_matrix(self):
+        # the full 10,000 x 401 float64 matrix alone is 32 MB
+        data = Dataset((0.2, 1.9, 0.7, 1.1, 0.5, 0.9, -0.4, 1.3, 0.8, 0.1))
+        cfg = BagConfig(10_000, ResampleScheme.nonparametric(), seed=8)
+        tracemalloc.start()
+        try:
+            curves = bagged_cdf_curves(MODEL, data, cfg, GridSpec(401))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert curves[2].shape == (401,)
+        assert peak < 8 * 2**20
