@@ -59,6 +59,7 @@ DEFAULT_REPLICATES = 1000
 DEFAULT_SEED = 42
 
 _QUANTILE_CDF_TOL = 1e-12
+_QUANTILE_REL_WIDTH = 1e-14
 _QUANTILE_MAX_ITER = 200
 
 
@@ -248,7 +249,9 @@ def mixture_quantile(mix: MixtureCdf, p: float) -> float:
     a bracket built from component quantiles converges to a point whose CDF
     value is within 1e-9 of ``p`` whenever every component is continuous.
     With degenerate (point-mass) components the generalized inverse is
-    returned and the CDF may jump across ``p``.
+    returned and the CDF may jump across ``p``.  Bisection also stops when
+    the bracket is narrower than 1e-14 of its larger end, or holds no float
+    between its ends, so the result does not depend on the data's scale.
     """
     p = float(p)
     if not 0.0 < p < 1.0:
@@ -257,6 +260,8 @@ def mixture_quantile(mix: MixtureCdf, p: float) -> float:
     mid = 0.5 * (lo + hi)
     for _ in range(_QUANTILE_MAX_ITER):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
         value = mixture_cdf_eval(mix, mid)
         if abs(value - p) <= _QUANTILE_CDF_TOL:
             return mid
@@ -264,7 +269,7 @@ def mixture_quantile(mix: MixtureCdf, p: float) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-14 * max(1.0, abs(lo), abs(hi)):
+        if hi - lo <= _QUANTILE_REL_WIDTH * max(abs(lo), abs(hi)):
             return 0.5 * (lo + hi)
     return mid
 

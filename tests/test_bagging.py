@@ -197,6 +197,25 @@ class TestMixtureQuantile:
             normal_quantile(0.9, comp), abs=1e-6
         )
 
+    @pytest.mark.parametrize(
+        "scheme",
+        [ResampleScheme.nonparametric(), ResampleScheme.subsample(), ResampleScheme.parametric()],
+    )
+    def test_interval_does_not_depend_on_data_scale(self, scheme):
+        # the same problem on data near 1e-150 and rescaled to unit data
+        unit_values = (0.4967, -0.1383, 0.6477)
+        cfg = BagConfig(200, scheme, seed=42)
+        tiny = credible_interval(bayesbag_mc(
+            GaussianLocationModel(4.0, 1e-300),
+            Dataset(tuple(1e-150 * x for x in unit_values)),
+            cfg,
+        ))
+        unit = credible_interval(bayesbag_mc(
+            GaussianLocationModel(4e300, 1.0), Dataset(unit_values), cfg
+        ))
+        assert tiny.lo * 1e150 == pytest.approx(unit.lo, rel=1e-12)
+        assert tiny.hi * 1e150 == pytest.approx(unit.hi, rel=1e-12)
+
 
 class TestBayesbagMc:
     def test_single_replicate_identity(self):
