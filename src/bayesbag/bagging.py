@@ -116,32 +116,28 @@ class MixtureCdf:
     a scalar to a CDF value, so posteriors from arbitrary models can be
     bagged through the same machinery.
 
-    An all-normal mixture is held as arrays: ``means``, ``variances`` and
-    ``sds`` (``sqrt(variances)``, so ``sds[b]`` equals ``NormalDist.sd`` of
-    component ``b``).  :meth:`normal` builds one from those arrays directly;
-    a ``components`` tuple of :class:`NormalDist` is converted to them.  For
-    the array form ``components`` is built from the arrays on first access.
-    A mixture holding any callable has ``means``, ``variances`` and ``sds``
-    set to ``None`` and is evaluated component by component.
+    The normal components are held as read-only arrays ``means``,
+    ``variances`` and ``sds`` (``sqrt(variances)``, so ``sds[b]`` equals
+    ``NormalDist.sd`` of component ``b``), empty when there are none; the
+    callables are held in the ``callables`` tuple.  :meth:`normal` builds an
+    all-normal mixture from those arrays directly.  ``components`` lists the
+    normals first, then the callables.
     """
 
     def __init__(self, components):
         components = tuple(components)
-        if not components:
-            raise ValueError("mixture needs at least one component")
         for comp in components:
             if not isinstance(comp, NormalDist) and not callable(comp):
                 raise TypeError("components must be NormalDist or callable CDFs")
-        self._components = components
-        self.means = self.variances = self.sds = None
-        if all(isinstance(c, NormalDist) for c in components):
-            self._set_arrays([c.mean for c in components], [c.variance for c in components])
+        normals = [c for c in components if isinstance(c, NormalDist)]
+        self.callables = tuple(c for c in components if not isinstance(c, NormalDist))
+        self._set_arrays([c.mean for c in normals], [c.variance for c in normals])
 
     @classmethod
     def normal(cls, means, variances) -> "MixtureCdf":
         """All-normal mixture whose component ``b`` is N(means[b], variances[b])."""
         mix = cls.__new__(cls)
-        mix._components = None
+        mix.callables = ()
         mix._set_arrays(means, variances)
         return mix
 
@@ -150,7 +146,7 @@ class MixtureCdf:
         variances = np.array(variances, dtype=float)
         if means.ndim != 1 or means.shape != variances.shape:
             raise ValueError("means and variances must be 1-d arrays of one length")
-        if means.size == 0:
+        if means.size + len(self.callables) == 0:
             raise ValueError("mixture needs at least one component")
         if not np.isfinite(means).all():
             raise ValueError("mean must be finite")
@@ -163,28 +159,20 @@ class MixtureCdf:
 
     @property
     def components(self) -> tuple:
-        if self._components is None:
-            self._components = tuple(
-                NormalDist(m, v) for m, v in zip(self.means.tolist(), self.variances.tolist())
-            )
-        return self._components
+        normals = zip(self.means.tolist(), self.variances.tolist())
+        return tuple(NormalDist(m, v) for m, v in normals) + self.callables
 
     def __len__(self) -> int:
-        if self.means is not None:
-            return self.means.shape[0]
-        return len(self._components)
+        return self.means.shape[0] + len(self.callables)
 
 
 def _component_values(mix: MixtureCdf, grid: np.ndarray) -> np.ndarray:
     """CDF value of every component at every grid point, shape (B, len(grid))."""
-    if mix.means is not None:
-        return _normal_cdf(grid[None, :], mix.means[:, None], mix.sds[:, None])
-    return np.vstack([
-        _normal_cdf(grid, comp.mean, comp.sd)
-        if isinstance(comp, NormalDist)
-        else np.array([float(comp(float(u))) for u in grid])
-        for comp in mix.components
-    ])
+    values = _normal_cdf(grid[None, :], mix.means[:, None], mix.sds[:, None])
+    if not mix.callables:
+        return values
+    rows = [[float(comp(float(u))) for u in grid] for comp in mix.callables]
+    return np.vstack([values, np.array(rows)])
 
 
 def _mixture_mean(values: np.ndarray) -> np.ndarray:
@@ -204,17 +192,11 @@ def mixture_cdf_eval(mix: MixtureCdf, u: float) -> float:
 
 
 def _bracket(mix: MixtureCdf, p: float) -> tuple[float, float]:
-    if mix.means is not None:
-        means, sds = mix.means, mix.sds
-    else:
-        normals = [c for c in mix.components if isinstance(c, NormalDist)]
-        means = np.array([c.mean for c in normals])
-        sds = np.array([c.sd for c in normals])
-    degenerate = sds == 0.0
+    degenerate = mix.sds == 0.0
     if degenerate.sum() == len(mix):
         raise ValueError("all-degenerate mixture has no continuous quantile")
     # a point mass brackets with its location, the others with their quantile
-    points = np.where(degenerate, means, _normal_quantile(p, means, sds))
+    points = np.where(degenerate, mix.means, _normal_quantile(p, mix.means, mix.sds))
     if points.size:
         lo, hi = float(points.min()), float(points.max())
     else:

@@ -27,7 +27,6 @@ from .bagging import (
 from .diagnostics import (
     DEFAULT_GRID_POINTS,
     GridSpec,
-    _normal_curve,
     _report_from_curves,
     bagged_cdf_curves,
     build_band,
@@ -80,7 +79,7 @@ class InputError(Exception):
 def read_observations(path: Path) -> Dataset:
     """Parse one observation per line; a non-numeric first line is a header."""
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     values: list[float] = []
@@ -308,13 +307,12 @@ def cmd_curves(args) -> int:
     if cfg.replicates < 2:
         raise InputError("--B: a band needs at least 2 replicates")
     band = build_band(model, data, cfg, grid_spec)
-    post_curve = _normal_curve(posterior(model, data), band.grid)
 
     # one block per curve: the grid template with the curve's id put in
     template = _grid_template(band.grid, "{0},", 1)
     curves = itertools.chain(
         enumerate(band.per_replicate),
-        ((MEAN_CURVE_ID, band.mean_curve), (POSTERIOR_CURVE_ID, post_curve)),
+        ((MEAN_CURVE_ID, band.mean_curve), (POSTERIOR_CURVE_ID, band.posterior_curve)),
     )
     out = args.out
     _write_csv(
@@ -377,10 +375,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # numerical / internal failures

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,6 @@ DEFAULT_GRID_POINTS = 401
 # cells of the replicate-by-grid matrix held at once for a bagged curve:
 # 2**18 float64 cells are 2 MiB, whatever B and the grid size
 _CURVE_CHUNK_CELLS = 2**18
-ENVELOPE_MINMAX = "minmax"
-ENVELOPE_QUANTILE = "quantile"
 
 
 @dataclass(frozen=True)
@@ -52,8 +51,11 @@ class GridSpec:
         object.__setattr__(self, "points", points)
         if (self.lo is None) != (self.hi is None):
             raise ValueError("grid bounds must be given together")
-        if self.lo is not None and not self.lo < self.hi:
-            raise ValueError("grid lower bound must be below upper bound")
+        if self.lo is not None:
+            if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+                raise ValueError("grid bounds must be finite")
+            if not self.lo < self.hi:
+                raise ValueError("grid lower bound must be below upper bound")
 
 
 def evaluation_grid(
@@ -74,26 +76,27 @@ def evaluation_grid(
 
 @dataclass(frozen=True, eq=False)
 class CdfBand:
-    """Replicate CDF values on a grid with pointwise envelope and mean curve."""
+    """Replicate and raw-posterior CDFs on a grid, with the replicates' pointwise min/max and mean."""
 
     grid: np.ndarray
     per_replicate: np.ndarray
     pointwise_lo: np.ndarray
     pointwise_hi: np.ndarray
     mean_curve: np.ndarray
+    posterior_curve: np.ndarray
 
     def __post_init__(self):
         n_grid = self.grid.shape[0]
         if self.per_replicate.shape[1] != n_grid:
             raise ValueError("per-replicate matrix does not match the grid")
-        for name in ("pointwise_lo", "pointwise_hi", "mean_curve"):
+        for name in ("pointwise_lo", "pointwise_hi", "mean_curve", "posterior_curve"):
             if getattr(self, name).shape != (n_grid,):
                 raise ValueError(f"{name} does not match the grid")
         if not (
             np.all(self.pointwise_lo <= self.mean_curve)
             and np.all(self.mean_curve <= self.pointwise_hi)
         ):
-            raise ValueError("envelope must enclose the mean curve")
+            raise ValueError("pointwise min/max must enclose the mean curve")
 
     @property
     def replicates(self) -> int:
@@ -120,32 +123,26 @@ def build_band(
     data: Dataset,
     cfg: BagConfig,
     grid_spec: GridSpec | None = None,
-    envelope: str = ENVELOPE_MINMAX,
 ) -> CdfBand:
-    """Evaluate every replicate posterior CDF on a grid.
+    """Evaluate every replicate posterior CDF, and the raw posterior CDF, on a grid.
 
     The mean curve is computed through the same code path as
     ``mixture_cdf_eval``, so it matches the bagged CDF bit for bit given the
-    same seed.  The default envelope is the pointwise min/max across
-    replicates; ``envelope="quantile"`` uses the pointwise (2.5%, 97.5%)
-    quantiles instead (widened to include the mean curve, which for heavily
-    skewed replicate values can fall outside the central quantiles).
+    same seed.  The band is the pointwise min/max across replicates.
     """
     if cfg.replicates < 2:
         raise ValueError("need at least 2 replicates for a band")
     mix = bayesbag_mc(model, data, cfg)
     grid = evaluation_grid(model, data, cfg.center_policy, grid_spec)
     values = _component_values(mix, grid)
-    mean_curve = _mixture_mean(values)
-    if envelope == ENVELOPE_MINMAX:
-        lo = values.min(axis=0)
-        hi = values.max(axis=0)
-    elif envelope == ENVELOPE_QUANTILE:
-        lo = np.minimum(np.quantile(values, 0.025, axis=0), mean_curve)
-        hi = np.maximum(np.quantile(values, 0.975, axis=0), mean_curve)
-    else:
-        raise ValueError(f"unknown envelope: {envelope!r}")
-    return CdfBand(grid, values, lo, hi, mean_curve)
+    return CdfBand(
+        grid,
+        values,
+        values.min(axis=0),
+        values.max(axis=0),
+        _mixture_mean(values),
+        _normal_curve(posterior(model, data), grid),
+    )
 
 
 def _normal_curve(dist: NormalDist, grid: np.ndarray) -> np.ndarray:
@@ -173,21 +170,18 @@ def bagged_cdf_curves(
     data: Dataset,
     cfg: BagConfig,
     grid_spec: GridSpec | None = None,
-    exact: bool | None = None,
     level: float = 0.95,
 ):
     """Raw posterior and bagged CDF curves on a shared grid.
 
-    ``exact=None`` picks the closed form for the parametric scheme and Monte
-    Carlo otherwise.  Returns ``(grid, posterior_curve, bagged_curve,
+    The parametric scheme takes the closed form, every other scheme Monte
+    Carlo.  Returns ``(grid, posterior_curve, bagged_curve,
     bagged_interval, degenerate_flag)``; the interval comes from the same
     object that produced the curve.
     """
-    if exact is None:
-        exact = cfg.scheme.kind is SchemeKind.PARAMETRIC_BOOTSTRAP
     grid = evaluation_grid(model, data, cfg.center_policy, grid_spec)
     post_curve = _normal_curve(posterior(model, data), grid)
-    if exact:
+    if cfg.scheme.kind is SchemeKind.PARAMETRIC_BOOTSTRAP:
         bag = bayesbag_exact(model, data, cfg.center_policy)
         interval = credible_interval(bag, level)
         return grid, post_curve, _normal_curve(bag, grid), interval, False
@@ -212,7 +206,6 @@ def make_report(
     data: Dataset,
     cfg: BagConfig,
     grid_spec: GridSpec | None = None,
-    exact: bool | None = None,
     level: float = 0.95,
 ) -> BagReport:
     """Assemble the interval comparison and grid-based diagnostics.
@@ -220,7 +213,7 @@ def make_report(
     ``ks_distance`` is the sup distance between the raw-posterior and bagged
     CDFs evaluated on the grid (grid-approximate, not the exact sup over R).
     """
-    curves = bagged_cdf_curves(model, data, cfg, grid_spec, exact, level)
+    curves = bagged_cdf_curves(model, data, cfg, grid_spec, level)
     return _report_from_curves(model, data, level, curves)
 
 

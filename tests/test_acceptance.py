@@ -231,9 +231,9 @@ def test_criterion_7_curve_export_band(tmp_path):
         grid = np.array([u for u, _ in by_id[-1]])
         mean_curve = np.array([f for _, f in by_id[-1]])
 
-        # horizontal extent of the min/max envelope at the band's center
+        # horizontal extent of the min/max band at the band's center
         # height: the u-range swept by the replicate curves around the
-        # posterior mean (the vertical envelope saturates to [0, 1] for
+        # posterior mean (the vertical band saturates to [0, 1] for
         # both sample sizes at B=1000, so the parameter-axis width is the
         # quantity that exposes the sample-size effect)
         hi = replicate_matrix.max(axis=0)

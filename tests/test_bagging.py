@@ -363,8 +363,26 @@ class TestConfigAndTypes:
             assert mix.means.tolist() == [c.mean for c in components]
             assert mix.sds.tolist() == [c.sd for c in components]
         assert mixture_quantile(from_tuple, 0.3) == mixture_quantile(from_arrays, 0.3)
-        mixed = MixtureCdf((components[0], lambda u: 0.5))
-        assert mixed.means is None and len(mixed) == 2
+        def half(u):
+            return 0.5
+
+        mixed = MixtureCdf((half, components[0]))
+        assert mixed.means.tolist() == [0.5] and mixed.callables == (half,)
+        assert len(mixed) == 2
+        assert mixed.components == (components[0], half)
+
+    def test_callable_component_matches_its_normal(self):
+        wide, shifted = NormalDist(0.5, 2.0), NormalDist(3.0, 1.0)
+        mixed = MixtureCdf((wide, lambda u: normal_cdf(u, shifted)))
+        normal = MixtureCdf((wide, shifted))
+        for u in np.linspace(-6.0, 8.0, 57):
+            assert mixture_cdf_eval(mixed, u) == pytest.approx(
+                mixture_cdf_eval(normal, u), abs=1e-15
+            )
+        for p in (0.025, 0.5, 0.975):
+            assert mixture_quantile(mixed, p) == pytest.approx(
+                mixture_quantile(normal, p), abs=1e-9
+            )
 
     def test_exact_equals_law_plus_posterior_variance(self):
         # independent derivation check: integral of the posterior CDF against

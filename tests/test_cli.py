@@ -141,6 +141,16 @@ class TestBag:
             normal_cdf(float(mid["u"]), bag), abs=1e-12
         )
 
+    def test_byte_order_mark_keeps_first_observation(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(b"1.5\n2.5\n")
+        marked.write_bytes(b"\xef\xbb\xbf1.5\n2.5\n")
+        for path in (plain, marked):
+            assert main(["bag", "--input", str(path), "--out", str(tmp_path / path.stem)]) == 0
+        report = (tmp_path / "plain" / "report.csv").read_bytes()
+        assert (tmp_path / "marked" / "report.csv").read_bytes() == report
+        assert read_rows(tmp_path / "plain" / "report.csv")[0]["n"] == "2"
+
     def test_header_autodetected(self, tmp_path):
         data_file = tmp_path / "obs.csv"
         write_lines(data_file, ["value", "1.0", "2.0"])

@@ -31,7 +31,7 @@ DATA_10 = Dataset((0.72775,) * 10)
 
 
 def band_width_at_median(band):
-    """Horizontal extent of the envelope at CDF level one half."""
+    """Horizontal extent of the min/max band at CDF level one half."""
     left = band.grid[np.argmax(band.pointwise_hi >= 0.5)]
     right = band.grid[np.argmax(band.pointwise_lo >= 0.5)]
     return right - left
@@ -57,6 +57,9 @@ class TestEvaluationGrid:
             GridSpec(points=10, lo=0.0)
         with pytest.raises(ValueError):
             GridSpec(points=10, lo=1.0, hi=0.0)
+        for lo, hi in ((-math.inf, 0.0), (0.0, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                GridSpec(5, lo, hi)
 
 
 class TestBuildBand:
@@ -97,22 +100,9 @@ class TestBuildBand:
                 assert np.all(band.per_replicate <= 1.0)
                 assert np.all(np.diff(band.per_replicate, axis=1) >= -1e-13)
 
-    def test_quantile_envelope(self):
-        cfg = BagConfig(replicates=100, seed=2)
-        band = build_band(MODEL, DATA_10, cfg, envelope="quantile")
-        assert np.all(band.pointwise_lo <= band.mean_curve)
-        assert np.all(band.mean_curve <= band.pointwise_hi)
-        minmax = build_band(MODEL, DATA_10, cfg)
-        assert np.all(band.pointwise_lo >= minmax.pointwise_lo)
-        assert np.all(band.pointwise_hi <= minmax.pointwise_hi)
-
     def test_needs_two_replicates(self):
         with pytest.raises(ValueError):
             build_band(MODEL, DATA_1, BagConfig(replicates=1))
-
-    def test_unknown_envelope(self):
-        with pytest.raises(ValueError):
-            build_band(MODEL, DATA_1, BagConfig(replicates=2), envelope="banana")
 
 
 class TestMakeReport:
@@ -147,12 +137,6 @@ class TestMakeReport:
         report = make_report(MODEL, varied, cfg)
         assert not report.degenerate_resampling_flag
         assert report.ks_distance > 0.0
-
-    def test_forced_monte_carlo_close_to_exact(self):
-        exact = make_report(MODEL, DATA_10, BagConfig(replicates=10, seed=1))
-        mc = make_report(MODEL, DATA_10, BagConfig(replicates=10_000, seed=42), exact=False)
-        assert mc.bagged_interval.lo == pytest.approx(exact.bagged_interval.lo, abs=0.03)
-        assert mc.bagged_interval.hi == pytest.approx(exact.bagged_interval.hi, abs=0.03)
 
     def test_subsample_widens(self):
         varied = Dataset((0.2, 1.9, 0.7, 1.1, 0.5, 0.9))
