@@ -36,7 +36,7 @@ from .resampling import (
     PointEstimate,
     ResampleScheme,
     Seed,
-    bootstrap_mean_law,
+    _bootstrap_mean_moments,
     map_point_estimate,
     point_estimate,
     replicate_means,
@@ -114,7 +114,8 @@ class MixtureCdf:
 
     Components are either :class:`NormalDist` instances or callables mapping
     a scalar to a CDF value, so posteriors from arbitrary models can be
-    bagged through the same machinery.
+    bagged through the same machinery.  Every normal component has a
+    positive variance, as a :class:`NormalDist` does.
 
     The normal components are held as read-only arrays ``means``,
     ``variances`` and ``sds`` (``sqrt(variances)``, so ``sds[b]`` equals
@@ -150,8 +151,8 @@ class MixtureCdf:
             raise ValueError("mixture needs at least one component")
         if not np.isfinite(means).all():
             raise ValueError("mean must be finite")
-        if not (np.isfinite(variances).all() and (variances >= 0.0).all()):
-            raise ValueError("variance must be finite and non-negative")
+        if not (np.isfinite(variances).all() and (variances > 0.0).all()):
+            raise ValueError("variance must be finite and positive")
         sds = np.sqrt(variances)
         for array in (means, variances, sds):
             array.flags.writeable = False
@@ -178,9 +179,12 @@ def _component_values(mix: MixtureCdf, grid: np.ndarray) -> np.ndarray:
 def _mixture_mean(values: np.ndarray) -> np.ndarray:
     # reduce over contiguous rows of the transpose so every grid point sums
     # its component values in the same pairwise order regardless of grid
-    # size; scalar evaluation then matches grid evaluation bit for bit
+    # size; scalar evaluation then matches grid evaluation bit for bit.
+    # The exact mean lies between the smallest and largest component value,
+    # so clamping to them (and to [0, 1], for callables) only removes rounding.
     columns = np.ascontiguousarray(values.T)
-    return np.clip(columns.mean(axis=1), 0.0, 1.0)
+    mean = np.clip(columns.mean(axis=1), columns.min(axis=1), columns.max(axis=1))
+    return np.clip(mean, 0.0, 1.0)
 
 
 def mixture_cdf_eval(mix: MixtureCdf, u: float) -> float:
@@ -192,13 +196,11 @@ def mixture_cdf_eval(mix: MixtureCdf, u: float) -> float:
 
 
 def _bracket(mix: MixtureCdf, p: float) -> tuple[float, float]:
-    degenerate = mix.sds == 0.0
-    if degenerate.sum() == len(mix):
-        raise ValueError("all-degenerate mixture has no continuous quantile")
-    # a point mass brackets with its location, the others with their quantile
-    points = np.where(degenerate, mix.means, _normal_quantile(p, mix.means, mix.sds))
+    points = _normal_quantile(p, mix.means, mix.sds)
     if points.size:
         lo, hi = float(points.min()), float(points.max())
+        if lo == hi and not mix.callables:
+            return lo, hi  # every component's p-quantile, so the mixture's
     else:
         lo, hi = -1.0, 1.0
     if lo == hi:
@@ -229,16 +231,19 @@ def mixture_quantile(mix: MixtureCdf, p: float) -> float:
 
     The mixture CDF is monotone but has no closed-form inverse; bisection on
     a bracket built from component quantiles converges to a point whose CDF
-    value is within 1e-9 of ``p`` whenever every component is continuous.
-    With degenerate (point-mass) components the generalized inverse is
-    returned and the CDF may jump across ``p``.  Bisection also stops when
-    the bracket is narrower than 1e-14 of its larger end, or holds no float
-    between its ends, so the result does not depend on the data's scale.
+    value is within 1e-9 of ``p``.  When every component of an all-normal
+    mixture has the same float as its p-quantile, that float is returned
+    without bisection, so B identical replicates give the quantile of their
+    common normal bit for bit.  Bisection also stops when the bracket is
+    narrower than 1e-14 of its larger end, or holds no float between its
+    ends, so the result does not depend on the data's scale.
     """
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError("probability out of range")
     lo, hi = _bracket(mix, p)
+    if lo == hi:
+        return lo
     mid = 0.5 * (lo + hi)
     for _ in range(_QUANTILE_MAX_ITER):
         mid = 0.5 * (lo + hi)
@@ -314,8 +319,9 @@ def bayesbag_exact(
     variances: the bag is N(law.mean, posterior.variance + law.variance).
     """
     post = posterior(model, data)
-    law = bootstrap_mean_law(model, data, _resolve_center(model, data, center_policy))
-    return NormalDist(law.mean, post.variance + law.variance)
+    center = _resolve_center(model, data, center_policy)
+    law_mean, law_variance = _bootstrap_mean_moments(model, data.n, center)
+    return NormalDist(law_mean, post.variance + law_variance)
 
 
 @lru_cache(maxsize=8)
@@ -323,9 +329,9 @@ def _hermgauss(nodes: int):
     return np.polynomial.hermite.hermgauss(nodes)
 
 
-def _gauss_hermite_cdf(u, post_sd, law, nodes):
+def _gauss_hermite_cdf(u, post_sd, law_mean, law_variance, nodes):
     t, w = _hermgauss(nodes)
-    replicate_means = law.mean + math.sqrt(2.0 * law.variance) * t
+    replicate_means = law_mean + math.sqrt(2.0 * law_variance) * t
     return float(w @ _normal_cdf(u, replicate_means, post_sd)) / math.sqrt(math.pi)
 
 
@@ -351,9 +357,9 @@ def bayesbag_quadrature(
     if nodes < 64:
         raise ValueError("need at least 64 quadrature nodes")
     post = posterior(model, data)
-    law = bootstrap_mean_law(model, data, _resolve_center(model, data, center_policy))
-    value = _gauss_hermite_cdf(u, post.sd, law, nodes)
-    coarse = _gauss_hermite_cdf(u, post.sd, law, nodes // 2)
+    law = _bootstrap_mean_moments(model, data.n, _resolve_center(model, data, center_policy))
+    value = _gauss_hermite_cdf(u, post.sd, *law, nodes)
+    coarse = _gauss_hermite_cdf(u, post.sd, *law, nodes // 2)
     residual = abs(value - coarse)
     if residual > residual_tol:
         raise RuntimeError(

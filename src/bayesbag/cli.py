@@ -61,14 +61,13 @@ POSTERIOR_CURVE_ID = -2
 # Below about one spacing the interval endpoints round together.
 RESOLUTION_ULPS = 2**10
 
-_FULL = "{:.17g}".format
-_ROUNDED = "{:.2f}".format
-
-# "%.17g" % x writes the bytes of _FULL(x) for every float64: 17 significant
-# digits, which parse back to the same float.  Float CSVs are written from
-# %-templates of these cells, so a whole block of values is formatted in one
-# call and each fixed cell (a grid point, a replicate id) only once.
+# 17 significant digits, which parse back to the same float64.  Float CSVs
+# are written from %-templates of these cells, so a whole block of values is
+# formatted in one call and each fixed cell (a grid point, a replicate id)
+# only once; _FULL formats a single value the same way.
 _CELL = "%.17g"
+_FULL = _CELL.__mod__
+_ROUNDED = "{:.2f}".format
 _DATA_BLOCK_ROWS = 4096
 
 
@@ -129,11 +128,11 @@ def _resolve(args):
     the flag that supplied it.  Only the credible level, which no domain
     type holds until the interval is computed, is checked here, and so is
     the full-data posterior: its sd must span ``RESOLUTION_ULPS`` float
-    spacings at the largest of ``|x|`` and ``|posterior mean|``.  That also
-    rejects a variance that underflows to 0.  No replicate has more
-    observations, so every replicate posterior is at least as wide; and
-    with sd bounded by ``sqrt(tau_sq)``, the bound caps ``|x|`` far below
-    where a replicate sum could overflow.
+    spacings at the largest of ``|x|`` and ``|posterior mean|``.  (A
+    variance that underflows to 0 is already rejected by ``posterior``.)
+    No replicate has more observations, so every replicate posterior is at
+    least as wide; and with sd bounded by ``sqrt(tau_sq)``, the bound caps
+    ``|x|`` far below where a replicate sum could overflow.
     """
     if not 0.0 < args.level < 1.0:
         raise InputError("--level must be in (0, 1)")

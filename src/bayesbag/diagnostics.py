@@ -187,18 +187,10 @@ def bagged_cdf_curves(
         return grid, post_curve, _normal_curve(bag, grid), interval, False
 
     mix = bayesbag_mc(model, data, cfg)
-    degenerate = bool(
-        np.all(mix.means == mix.means[0]) and np.all(mix.variances == mix.variances[0])
-    )
-    if degenerate:
-        # identical replicates: evaluate the single component directly so
-        # the report is exact (widening ratio 1, ks 0 when it equals the raw
-        # posterior) instead of carrying bisection noise
-        bag = NormalDist(mix.means[0], mix.variances[0])
-        interval = credible_interval(bag, level)
-        return grid, post_curve, _normal_curve(bag, grid), interval, True
+    # identical replicate means: bayesbag_mc gives every replicate one variance
+    degenerate = bool(np.all(mix.means == mix.means[0]))
     bag_curve = _mixture_curve(mix, grid)
-    return grid, post_curve, bag_curve, credible_interval(mix, level), False
+    return grid, post_curve, bag_curve, credible_interval(mix, level), degenerate
 
 
 def make_report(

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
 from scipy import special
 
 __all__ = [
@@ -36,18 +35,11 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _normal_cdf(u, mean, sd):
-    """Normal CDF at ``u`` for broadcastable ``u``, ``mean`` and ``sd``.
+    """Normal CDF at ``u`` for broadcastable ``u``, ``mean`` and positive ``sd``.
 
-    ``special.ndtr`` keeps full precision in both tails.  Where ``sd == 0``
-    the value is the right-continuous unit step at ``mean``, the CDF of a
-    degenerate (point-mass) distribution.
+    ``special.ndtr`` keeps full precision in both tails.
     """
-    sd = np.asarray(sd, dtype=float)
-    degenerate = sd == 0.0
-    values = special.ndtr((u - mean) / np.where(degenerate, 1.0, sd))
-    if degenerate.any():
-        values = np.where(degenerate, np.greater_equal(u, mean), values)
-    return values
+    return special.ndtr((u - mean) / sd)
 
 
 def _normal_quantile(p, mean, sd):
@@ -76,10 +68,6 @@ class GaussianLocationModel:
                 # the posterior precision 1/tau_sq + n/sigma_sq would be infinite
                 raise ValueError(f"{name} is too small: its reciprocal overflows")
             object.__setattr__(self, name, value)
-
-    def prior(self) -> "NormalDist":
-        """Distribution of the location before any data is seen."""
-        return NormalDist(0.0, self.tau_sq)
 
 
 @dataclass(frozen=True)
@@ -112,13 +100,11 @@ class Dataset:
 
 @dataclass(frozen=True)
 class NormalDist:
-    """Normal distribution as a (mean, variance) pair.
+    """Normal distribution as a (mean, variance) pair with positive variance.
 
-    ``variance == 0`` is allowed as a degenerate point mass: its CDF is the
-    right-continuous unit step at ``mean``, while the density and quantile
-    are undefined and raise.  Degenerate instances only arise from degenerate
-    resampling (e.g. the bootstrap-mean law of a single repeated value) and
-    must be representable without silently producing NaNs.
+    There are no point masses: a zero variance, which only arises from a
+    computation that underflows, is rejected, so the CDF, density and
+    quantile are defined for every instance.
     """
 
     mean: float
@@ -129,18 +115,14 @@ class NormalDist:
         variance = float(self.variance)
         if not math.isfinite(mean):
             raise ValueError("mean must be finite")
-        if not math.isfinite(variance) or variance < 0.0:
-            raise ValueError("variance must be finite and non-negative")
+        if not math.isfinite(variance) or variance <= 0.0:
+            raise ValueError("variance must be finite and positive")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "variance", variance)
 
     @property
     def sd(self) -> float:
         return math.sqrt(self.variance)
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.variance == 0.0
 
 
 def _posterior_moments(model: GaussianLocationModel, n: int, xbar):
@@ -160,15 +142,21 @@ def _posterior_moments(model: GaussianLocationModel, n: int, xbar):
 
 
 def posterior(model: GaussianLocationModel, data: Dataset) -> NormalDist:
-    """Posterior of the location given ``data`` (see :func:`_posterior_moments`)."""
-    return NormalDist(*_posterior_moments(model, data.n, data.mean))
+    """Posterior of the location given ``data`` (see :func:`_posterior_moments`).
+
+    Raises ``ValueError`` when the precision ``1/tau_sq + n/sigma_sq``
+    overflows, so the variance would underflow to 0.
+    """
+    mean, variance = _posterior_moments(model, data.n, data.mean)
+    if variance == 0.0:
+        raise ValueError("posterior variance underflows: 1/tau_sq + n/sigma_sq overflows")
+    return NormalDist(mean, variance)
 
 
 def normal_cdf(u: float, dist: NormalDist) -> float:
     """CDF of ``dist`` at ``u``.
 
-    Infinite ``u`` returns the limit (0 or 1).  A degenerate ``dist`` yields
-    the unit step at its mean.
+    Infinite ``u`` returns the limit (0 or 1).
     """
     u = float(u)
     if math.isnan(u):
@@ -177,12 +165,10 @@ def normal_cdf(u: float, dist: NormalDist) -> float:
 
 
 def normal_pdf(r: float, dist: NormalDist) -> float:
-    """Density of ``dist`` at ``r``; raises for a degenerate distribution."""
+    """Density of ``dist`` at ``r``."""
     r = float(r)
     if math.isnan(r):
         raise ValueError("non-finite input")
-    if dist.is_degenerate:
-        raise ValueError("degenerate density")
     z = (r - dist.mean) / dist.sd
     return math.exp(-0.5 * z * z) / (dist.sd * _SQRT_2PI)
 
@@ -195,6 +181,4 @@ def normal_quantile(p: float, dist: NormalDist) -> float:
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError("probability out of range")
-    if dist.is_degenerate:
-        raise ValueError("degenerate distribution has no quantile function")
     return float(_normal_quantile(p, dist.mean, dist.sd))

@@ -105,9 +105,6 @@ class Seed:
         object.__setattr__(self, "master", master)
         object.__setattr__(self, "replicate_index", index)
 
-    def for_replicate(self, b: int) -> "Seed":
-        return Seed(self.master, b)
-
     def rng(self) -> np.random.Generator:
         """PCG64 generator derived purely from (master, replicate_index)."""
         return np.random.default_rng(
@@ -205,6 +202,16 @@ def replicate_means(
     return size, means
 
 
+def _bootstrap_mean_moments(model: GaussianLocationModel, n: int, center: PointEstimate):
+    """``(mean, variance)`` of :func:`bootstrap_mean_law` for ``n`` observations.
+
+    The variance underflows to 0 when ``n + sigma_sq / tau_sq`` is huge;
+    the bagged variance adds the positive posterior variance, so it never does.
+    """
+    shrink = n + model.sigma_sq / model.tau_sq
+    return n * center.value / shrink, n * model.sigma_sq / (shrink * shrink)
+
+
 def bootstrap_mean_law(
     model: GaussianLocationModel, data: Dataset, center: PointEstimate
 ) -> NormalDist:
@@ -216,8 +223,7 @@ def bootstrap_mean_law(
 
         mean     = n * center / (n + sigma_sq / tau_sq)
         variance = n * sigma_sq / (n + sigma_sq / tau_sq)^2
+
+    Raises ``ValueError`` when that variance underflows to 0.
     """
-    shrink = data.n + model.sigma_sq / model.tau_sq
-    mean = data.n * center.value / shrink
-    variance = data.n * model.sigma_sq / (shrink * shrink)
-    return NormalDist(mean, variance)
+    return NormalDist(*_bootstrap_mean_moments(model, data.n, center))

@@ -137,10 +137,11 @@ class TestMixtureCdfEval:
         dist = sup_distance_to(mix, bag, default_grid(bag))
         assert dist <= 1.36 / math.sqrt(cfg.replicates) + 0.005
 
-    def test_degenerate_component_contributes_step(self):
-        mix = MixtureCdf((NormalDist(0.0, 0.0), NormalDist(0.0, 1.0)))
-        assert mixture_cdf_eval(mix, 0.0) == pytest.approx(0.75, abs=1e-15)
-        assert mixture_cdf_eval(mix, 50.0) == pytest.approx(1.0, abs=1e-12)
+    def test_mean_of_identical_rows_is_the_row(self):
+        # the pairwise mean of three copies of 0.1 rounds above 0.1
+        rows = np.full((3, 2), 0.1)
+        assert rows.mean(axis=0)[0] > 0.1
+        np.testing.assert_array_equal(_mixture_mean(rows), [0.1, 0.1])
 
     @given(mixtures, st.lists(st.floats(-50, 50), min_size=2, max_size=8))
     def test_monotone_bounded_sandwich(self, mix, us):
@@ -186,9 +187,15 @@ class TestMixtureQuantile:
                 mixture_quantile(mix, p)
 
     def test_all_degenerate_rejected(self):
-        mix = MixtureCdf((NormalDist(0.0, 0.0), NormalDist(1.0, 0.0)))
-        with pytest.raises(ValueError, match="degenerate"):
-            mixture_quantile(mix, 0.5)
+        # point-mass components are refused when the mixture is built
+        with pytest.raises(ValueError, match="variance must be finite and positive"):
+            mixture_quantile(MixtureCdf.normal([0.0, 1.0], [0.0, 0.0]), 0.5)
+
+    def test_identical_components_give_their_quantile_bit_for_bit(self):
+        comp = NormalDist(0.71, 1.0 / 10.25)
+        mix = MixtureCdf.normal([comp.mean] * 20, [comp.variance] * 20)
+        for p in (0.025, 0.3, 0.5, 0.975):
+            assert mixture_quantile(mix, p) == normal_quantile(p, comp)
 
     def test_callable_components_bracketed_by_expansion(self):
         comp = NormalDist(40.0, 9.0)
@@ -348,14 +355,16 @@ class TestConfigAndTypes:
             ([math.inf], [1.0]),
             ([0.0], [-1.0]),
             ([0.0], [math.nan]),
+            ([0.0], [0.0]),
+            ([1.0, 2.0], [1.0, 0.0]),
         ):
             with pytest.raises(ValueError):
                 MixtureCdf.normal(means, variances)
 
     def test_array_and_component_forms_agree(self):
-        components = (NormalDist(0.5, 2.0), NormalDist(-1.0, 0.0), NormalDist(3.0, 0.25))
+        components = (NormalDist(0.5, 2.0), NormalDist(-1.0, 1e-6), NormalDist(3.0, 0.25))
         from_tuple = MixtureCdf(components)
-        from_arrays = MixtureCdf.normal([0.5, -1.0, 3.0], [2.0, 0.0, 0.25])
+        from_arrays = MixtureCdf.normal([0.5, -1.0, 3.0], [2.0, 1e-6, 0.25])
         assert from_arrays.components == components
         assert from_tuple.components == components
         for mix in (from_tuple, from_arrays):

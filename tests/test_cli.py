@@ -35,6 +35,7 @@ from bayesbag.cli import (
     read_observations,
     synthetic_dataset,
 )
+from bayesbag.diagnostics import DEFAULT_GRID_POINTS
 
 MODEL = GaussianLocationModel(4.0, 1.0)
 
@@ -430,7 +431,7 @@ class TestInputErrors:
         assert flag in err
 
 
-# The documented valid range of the property test below: every scheme, n
+# The documented valid range of the property tests below: every scheme, n
 # 1..50, B 2..20, tau_sq and sigma_sq in [1e-6, 1e6], |theta| <= 1e6.
 SCHEMES = ("parametric", "nonparametric", "subsample")
 positive_variances = st.floats(min_value=1e-6, max_value=1e6)
@@ -451,11 +452,41 @@ def _extreme_run(scheme, theta, sigma_sq):
             "theta": theta, "seed": 42}
 
 
+def _file_run(data):
+    # replicate means that agree to the last few digits: the mean of their
+    # CDFs can round outside the replicates' pointwise range
+    return {"scheme": "nonparametric", "n": len(data), "B": 20, "tau_sq": 4.0,
+            "sigma_sq": 1.0, "theta": 0.0, "seed": 42, "data": data}
+
+
+NEAR_IDENTICAL = (0.5 + 1e-4 * np.random.default_rng(1).standard_normal(5)).tolist()
+
+
 def _with_examples(test):
     for scheme in SCHEMES:
         test = example(run=_extreme_run(scheme, 0.0, 1e-300))(test)  # data near 1e-150
         test = example(run=_extreme_run(scheme, 1.0, 1e-20))(test)
-    return test
+    test = example(run=_file_run([A] * 3))(test)
+    test = example(run=_file_run(NEAR_IDENTICAL))(test)
+    # the parametric replicate-mean law's variance n * sigma_sq / (n +
+    # sigma_sq / tau_sq)**2 underflows to 0; the bagged variance does not
+    underflowing_law = {**_file_run([0.0, 0.0]), "scheme": "parametric",
+                        "tau_sq": 1e-60, "sigma_sq": 1e100}
+    return example(run=underflowing_law)(test)
+
+
+def _run_valid(command, run, out):
+    """Exit code of ``command`` on ``run``'s data (a file when it lists values)."""
+    if "data" in run:
+        write_lines(out / "data.txt", [repr(x) for x in run["data"]])
+        source = [f"--input={out / 'data.txt'}"]
+    else:
+        source = [f"--synthetic-n={run['n']}", f"--synthetic-theta={run['theta']!r}"]
+    return main([
+        command, f"--scheme={run['scheme']}", *source, f"--B={run['B']}",
+        f"--tau-sq={run['tau_sq']!r}", f"--sigma-sq={run['sigma_sq']!r}",
+        f"--seed={run['seed']}", f"--out={out}",
+    ])
 
 
 class TestValidInputs:
@@ -463,17 +494,22 @@ class TestValidInputs:
     @_with_examples
     @given(run=valid_bag_runs)
     def test_valid_input_exits_0_with_finite_report(self, run):
-        argv = [
-            "bag", f"--scheme={run['scheme']}", f"--synthetic-n={run['n']}",
-            f"--B={run['B']}", f"--tau-sq={run['tau_sq']!r}", f"--sigma-sq={run['sigma_sq']!r}",
-            f"--synthetic-theta={run['theta']!r}", f"--seed={run['seed']}",
-        ]
         with tempfile.TemporaryDirectory() as out:
-            rc = main([*argv, f"--out={out}"])
-            assert rc == 0
+            assert _run_valid("bag", run, Path(out)) == 0
             (row,) = read_rows(Path(out) / "report.csv")
         values = {key: float(value) for key, value in row.items()}
         assert all(math.isfinite(value) for value in values.values())
         assert values["posterior_lo"] < values["posterior_hi"]
         assert values["bayesbag_lo"] < values["bayesbag_hi"]
         assert 0.0 <= values["ks_distance"] <= 1.0
+
+    @settings(max_examples=30, deadline=None)
+    @_with_examples
+    @given(run=valid_bag_runs)
+    def test_valid_input_exits_0_with_bounded_curves(self, run):
+        with tempfile.TemporaryDirectory() as out:
+            assert _run_valid("curves", run, Path(out)) == 0
+            table = np.loadtxt(Path(out) / "curves.csv", delimiter=",", skiprows=1)
+        assert table.shape == ((run["B"] + 2) * DEFAULT_GRID_POINTS, 3)
+        assert np.isfinite(table).all()
+        assert np.all((table[:, 2] >= 0.0) & (table[:, 2] <= 1.0))

@@ -40,9 +40,6 @@ class TestPosterior:
         assert post.mean == pytest.approx(0.71, abs=1e-12)
         assert post.variance == pytest.approx(1.0 / 10.25, abs=1e-15)
 
-    def test_prior_accessor(self):
-        assert MODEL.prior() == NormalDist(0.0, 4.0)
-
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty dataset"):
             Dataset(())
@@ -68,6 +65,12 @@ class TestPosterior:
         post = posterior(model, data)
         assert abs(post.mean) <= abs(data.mean) * (1 + 1e-12)
         assert post.variance < min(tau_sq, sigma_sq / data.n)
+
+    def test_precision_overflow_rejected(self):
+        # n / sigma_sq overflows, so the posterior variance would be 0
+        model = GaussianLocationModel(4.0, 1e-308)
+        with pytest.raises(ValueError, match="overflows"):
+            posterior(model, Dataset((0.0, 0.0, 0.0)))
 
     def test_model_validation(self):
         for bad in (0.0, -1.0, math.nan, math.inf):
@@ -104,12 +107,6 @@ class TestNormalCdf:
         lo, hi = min(u1, u2), max(u1, u2)
         assert normal_cdf(lo, dist) <= normal_cdf(hi, dist)
 
-    def test_degenerate_is_unit_step(self):
-        dist = NormalDist(2.0, 0.0)
-        assert normal_cdf(1.999, dist) == 0.0
-        assert normal_cdf(2.0, dist) == 1.0
-        assert normal_cdf(2.001, dist) == 1.0
-
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="non-finite input"):
             normal_cdf(math.nan, NormalDist(0.0, 1.0))
@@ -139,7 +136,8 @@ class TestNormalPdf:
         assert np.trapezoid(values, grid) == pytest.approx(1.0, abs=1e-8)
 
     def test_degenerate_rejected(self):
-        with pytest.raises(ValueError, match="degenerate density"):
+        # a point mass has no density; it is refused when the NormalDist is built
+        with pytest.raises(ValueError, match="variance must be finite and positive"):
             normal_pdf(0.0, NormalDist(0.0, 0.0))
 
 
@@ -175,7 +173,8 @@ class TestNormalQuantile:
                 normal_quantile(p, dist)
 
     def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
+        # a point mass has no quantile; it is refused when the NormalDist is built
+        with pytest.raises(ValueError, match="variance must be finite and positive"):
             normal_quantile(0.5, NormalDist(0.0, 0.0))
 
 
@@ -197,4 +196,6 @@ class TestTypes:
             NormalDist(math.nan, 1.0)
         with pytest.raises(ValueError):
             NormalDist(0.0, math.inf)
-        assert NormalDist(1.0, 0.0).is_degenerate
+        # a point mass has no density or quantile, so it cannot be built
+        with pytest.raises(ValueError, match="positive"):
+            NormalDist(1.0, 0.0)
