@@ -244,9 +244,9 @@ def mixture_quantile(mix: MixtureCdf, p: float) -> float:
     lo, hi = _bracket(mix, p)
     if lo == hi:
         return lo
-    mid = 0.5 * (lo + hi)
+    mid = 0.5 * lo + 0.5 * hi
     for _ in range(_QUANTILE_MAX_ITER):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if mid == lo or mid == hi:
             return mid
         value = mixture_cdf_eval(mix, mid)
@@ -257,7 +257,7 @@ def mixture_quantile(mix: MixtureCdf, p: float) -> float:
         else:
             hi = mid
         if hi - lo <= _QUANTILE_REL_WIDTH * max(abs(lo), abs(hi)):
-            return 0.5 * (lo + hi)
+            return 0.5 * lo + 0.5 * hi
     return mid
 
 

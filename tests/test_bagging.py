@@ -197,6 +197,14 @@ class TestMixtureQuantile:
         for p in (0.025, 0.3, 0.5, 0.975):
             assert mixture_quantile(mix, p) == normal_quantile(p, comp)
 
+    def test_bracket_near_largest_float_does_not_overflow(self):
+        # the bracket's ends sum past the largest float, so the midpoint
+        # must be formed from halves
+        mix = MixtureCdf.normal([1e308, 1.5e308], [1e300, 1e300])
+        q = mixture_quantile(mix, 0.5)
+        assert math.isfinite(q)
+        assert 1e308 < q < 1.5e308
+
     def test_callable_components_bracketed_by_expansion(self):
         comp = NormalDist(40.0, 9.0)
         mix = MixtureCdf((lambda u: normal_cdf(u, comp),))

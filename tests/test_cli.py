@@ -104,6 +104,25 @@ class TestTable1:
         assert "95% credible intervals" in result.stdout
         assert [r["n"] for r in read_rows(tmp_path / "table1.csv")] == ["1", "10"]
 
+    def test_runs_without_importing_scipy(self, tmp_path):
+        # scipy is a test dependency only; importing it would cost every
+        # process most of its start-up time
+        src = str(Path(bayesbag.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys\n"
+            "from bayesbag.cli import main\n"
+            f"assert main(['table1', '--out', {str(tmp_path)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
+
 
 class TestBag:
     def test_single_value_file_matches_reference_row(self, tmp_path):

@@ -1,10 +1,11 @@
 """Tests for the conjugate model and scalar normal machinery."""
 
 import math
+import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from bayesbag import (
@@ -16,6 +17,7 @@ from bayesbag import (
     normal_quantile,
     posterior,
 )
+from bayesbag.model import _KERNEL_BLOCK, _ndtr, _ndtri
 
 MODEL = GaussianLocationModel(tau_sq=4.0, sigma_sq=1.0)
 
@@ -159,12 +161,20 @@ class TestNormalQuantile:
         for p in np.linspace(0.001, 0.999, 500):
             assert abs(normal_cdf(normal_quantile(p, dist), dist) - p) <= 1e-10
 
-    def test_against_ndtri_oracle(self):
-        dist = NormalDist(0.0, 1.0)
-        for p in (1e-12, 1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1 - 1e-6, 1 - 1e-12):
-            assert normal_quantile(p, dist) == pytest.approx(
-                float(special.ndtri(p)), abs=1e-11
-            )
+    def test_equals_stdlib_inv_cdf_bit_for_bit(self):
+        # AS241 with the standard library's coefficients and branch points:
+        # both tails down to 1e-300 and 1 - 1e-16, and every branch switch
+        std = NormalDist(0.0, 1.0)
+        oracle = statistics.NormalDist()
+        probs = np.concatenate([
+            np.linspace(1e-6, 1.0 - 1e-6, 4001),
+            10.0 ** -np.linspace(1.0, 300.0, 600),
+            1.0 - 10.0 ** -np.linspace(1.0, 16.0, 151),
+            [0.075, np.nextafter(0.075, 0.0), 0.925, np.nextafter(0.925, 1.0)],
+            [math.exp(-25.0), np.nextafter(math.exp(-25.0), 1.0)],
+        ])
+        for p in probs.tolist():
+            assert normal_quantile(p, std) == oracle.inv_cdf(p), p
 
     def test_out_of_range_rejected(self):
         dist = NormalDist(0.0, 1.0)
@@ -176,6 +186,90 @@ class TestNormalQuantile:
         # a point mass has no quantile; it is refused when the NormalDist is built
         with pytest.raises(ValueError, match="variance must be finite and positive"):
             normal_quantile(0.5, NormalDist(0.0, 0.0))
+
+
+def _same(a, b):
+    """Equal bit patterns, NaN included (0.0 and -0.0 are told apart)."""
+    return np.array_equal(np.asarray(a, float).view(np.int64), np.asarray(b, float).view(np.int64))
+
+
+class TestNormalKernels:
+    """The numpy-only kernels behind every normal CDF and quantile."""
+
+    def test_ndtr_against_scipy_dense_sweep(self):
+        a = np.concatenate([np.linspace(-38.4, 38.4, 768_001), [-np.inf, np.inf]])
+        ours = _ndtr(a)
+        ref = special.ndtr(a)
+        tiny = np.finfo(float).tiny
+        normal = ref >= tiny
+        # relative error no looser than 1e-13 wherever scipy's value is a
+        # normal float, and 16 ulps on |a| <= 5
+        rel = np.abs(ours[normal] - ref[normal]) / ref[normal]
+        assert rel.max() <= 1e-13
+        central = np.abs(a) <= 5.0
+        ulps = np.abs(ours[central] - ref[central]) / np.spacing(ref[central])
+        assert ulps.max() <= 16.0
+        # past a = -37.5 scipy's value is a subnormal or 0; the kernel's is
+        # below the smallest normal float too
+        assert np.all((ours[~normal] >= 0.0) & (ours[~normal] < tiny))
+        assert ours[-2] == 0.0 and ours[-1] == 1.0
+
+    def test_ndtr_nan_and_no_warning(self):
+        # tier-1 turns RuntimeWarning into an error, so any warning fails here
+        values = _ndtr(np.array([np.nan, -np.inf, np.inf, -1e308, 1e308, -0.0]))
+        assert math.isnan(values[0])
+        assert values[1:].tolist() == [0.0, 1.0, 0.0, 1.0, 0.5]
+        assert math.isnan(_ndtr(math.nan))
+
+    def test_ndtri_edges(self):
+        assert _ndtri(0.0) == -math.inf and _ndtri(1.0) == math.inf
+        values = _ndtri(np.array([-0.5, 1.5, np.nan]))
+        assert np.isnan(values).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(1, 40),
+            st.integers(_KERNEL_BLOCK - 3, _KERNEL_BLOCK + 3),
+            st.integers(2 * _KERNEL_BLOCK - 3, 2 * _KERNEL_BLOCK + 3),
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_ndtr_elementwise(self, size, seed):
+        # output i depends only on input i: not on the array's length, shape
+        # or the element's position relative to a block boundary
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0.0, 8.0, size)
+        special_values = [np.nan, -np.inf, np.inf, 0.0, -11.3137, math.sqrt(2.0), -40.0]
+        x[rng.integers(0, size, 20)] = rng.choice(special_values, 20)
+        values = _ndtr(x)
+        assert values.shape == x.shape
+        positions = range(size) if size <= 40 else {
+            0, size - 1, _KERNEL_BLOCK - 1, _KERNEL_BLOCK, *rng.integers(0, size, 40).tolist()
+        }
+        for i in positions:
+            if i < size:
+                assert _same(values[i], _ndtr(x[i]))  # 0-d input
+                assert _same(values[i], _ndtr(x[i:i + 1])[0])
+        if size % 2 == 0:
+            assert _same(_ndtr(x.reshape(2, -1).T), values.reshape(2, -1).T)
+
+    @given(st.lists(st.floats(0.0, 1.0), max_size=40))
+    def test_ndtri_elementwise(self, probs):
+        p = np.array(probs, dtype=float)
+        values = _ndtri(p)
+        assert values.shape == p.shape
+        assert _same(values, [_ndtri(v) for v in p])
+        for i in range(p.size):
+            assert _same(values[i], _ndtri(p[i:i + 1])[0])
+
+    def test_zero_d_and_empty(self):
+        assert isinstance(_ndtr(np.float64(0.3)), float)
+        assert _ndtr(np.array(0.3)) == _ndtr(np.array([0.3]))[0]
+        assert _ndtri(np.array(0.3)) == _ndtri(np.array([0.3]))[0]
+        for kernel in (_ndtr, _ndtri):
+            assert kernel(np.empty(0)).shape == (0,)
+            assert kernel(np.empty((0, 3))).shape == (0, 3)
 
 
 class TestTypes:
