@@ -18,6 +18,7 @@ import numpy as np
 
 from .bagging import (
     DEFAULT_SEED,
+    _QUANTILE_CDF_TOL,
     BagConfig,
     CenterPolicy,
     bayesbag_exact,
@@ -58,7 +59,8 @@ POSTERIOR_CURVE_ID = -2
 # A posterior sd must span this many float spacings (math.ulp) of the data's
 # magnitude.  mixture_quantile stops at a relative bracket width of 1e-14,
 # which is 45 to 90 spacings; at 2**10 that stays below a tenth of an sd.
-# Below about one spacing the interval endpoints round together.
+# Below about one spacing the interval endpoints round together.  The same
+# margin over mixture_quantile's CDF tolerance bounds the credible level.
 RESOLUTION_ULPS = 2**10
 
 # 17 significant digits, which parse back to the same float64.  Float CSVs
@@ -125,17 +127,25 @@ def _resolve(args):
     """(model, dataset, bag config, grid spec) of a bag/curves invocation.
 
     The domain types validate their own values; this maps each rejection to
-    the flag that supplied it.  Only the credible level, which no domain
-    type holds until the interval is computed, is checked here, and so is
-    the full-data posterior: its sd must span ``RESOLUTION_ULPS`` float
-    spacings at the largest of ``|x|`` and ``|posterior mean|``.  (A
-    variance that underflows to 0 is already rejected by ``posterior``.)
-    No replicate has more observations, so every replicate posterior is at
-    least as wide; and with sd bounded by ``sqrt(tau_sq)``, the bound caps
-    ``|x|`` far below where a replicate sum could overflow.
+    the flag that supplied it.  Two things no domain type holds are checked
+    here.  The credible level and each tail ``(1 - level) / 2`` must be at
+    least ``RESOLUTION_ULPS`` CDF tolerances of ``mixture_quantile``, so
+    that bisection resolves each endpoint and the interval between them.
+    The full-data posterior's sd, and the half-width of its credible
+    interval, must span ``RESOLUTION_ULPS`` float spacings at the largest
+    of ``|x|`` and ``|posterior mean|``.  (A variance that underflows to 0
+    is already rejected by ``posterior``.)  No replicate has more
+    observations, so every replicate posterior, and with them the bagged
+    interval, is at least as wide; and with sd bounded by
+    ``sqrt(tau_sq)``, the bound caps ``|x|`` far below where a replicate
+    sum could overflow.
     """
-    if not 0.0 < args.level < 1.0:
-        raise InputError("--level must be in (0, 1)")
+    floor = RESOLUTION_ULPS * _QUANTILE_CDF_TOL
+    if not (args.level >= floor and 0.5 * (1.0 - args.level) >= floor):
+        raise InputError(
+            f"--level must be in (0, 1), with the level and each tail (1 - level)/2 "
+            f"at least {floor:.3g}, below which the interval cannot be resolved"
+        )
     if (args.input is None) == (args.synthetic_n is None):
         raise InputError("give exactly one of --input or --synthetic-n")
     model = _checked("--tau-sq/--sigma-sq", GaussianLocationModel, args.tau_sq, args.sigma_sq)
@@ -148,12 +158,20 @@ def _resolve(args):
         )
     post = _checked("--tau-sq/--sigma-sq", posterior, model, data)
     scale = max(max(map(abs, data.observations)), abs(post.mean))
-    if post.sd < RESOLUTION_ULPS * math.ulp(scale):
-        source = "--input" if args.input is not None else "--synthetic-theta"
+    limit = RESOLUTION_ULPS * math.ulp(scale)
+    source = "--input" if args.input is not None else "--synthetic-theta"
+    if post.sd < limit:
         raise InputError(
             f"{source}/--tau-sq/--sigma-sq: the posterior sd {post.sd:.3g} is below "
             f"{RESOLUTION_ULPS} float spacings at the data's magnitude {scale:.3g}, "
             "so its credible interval cannot be resolved"
+        )
+    half_width = _checked("--level", credible_interval, replace(post, mean=0.0), args.level).hi
+    if half_width < limit:
+        raise InputError(
+            f"--level/{source}/--tau-sq/--sigma-sq: the posterior interval's half-width "
+            f"{half_width:.3g} is below {RESOLUTION_ULPS} float spacings at the data's "
+            f"magnitude {scale:.3g}, so the interval cannot be resolved"
         )
     kind = SchemeKind(args.scheme)
     if kind is SchemeKind.SUBSAMPLE:
@@ -262,10 +280,10 @@ def cmd_bag(args) -> int:
     grid, post_curve, bag_curve = curves[:3]
     post_iv, bag_iv = report.posterior_interval, report.bagged_interval
 
-    pct = 100.0 * args.level
+    pct = f"{100.0 * args.level:.15g}"
     print(f"n = {data.n}, sample mean = {_FULL(data.mean)}")
-    print(f"posterior {pct:g}% interval: [{_FULL(post_iv.lo)}, {_FULL(post_iv.hi)}]")
-    print(f"bayesbag  {pct:g}% interval: [{_FULL(bag_iv.lo)}, {_FULL(bag_iv.hi)}]")
+    print(f"posterior {pct}% interval: [{_FULL(post_iv.lo)}, {_FULL(post_iv.hi)}]")
+    print(f"bayesbag  {pct}% interval: [{_FULL(bag_iv.lo)}, {_FULL(bag_iv.hi)}]")
     print(f"widening ratio: {_FULL(report.widening_ratio)}")
     print(f"ks distance (grid): {_FULL(report.ks_distance)}")
     if report.degenerate_resampling_flag:
@@ -279,7 +297,7 @@ def cmd_bag(args) -> int:
         [
             _line([
                 str(data.n),
-                f"{args.level:g}",
+                repr(args.level),
                 _FULL(post_iv.lo),
                 _FULL(post_iv.hi),
                 _FULL(bag_iv.lo),

@@ -9,7 +9,6 @@ import numpy as np
 
 from .bagging import (
     BagConfig,
-    CenterPolicy,
     QuantilePair,
     _component_values,
     _mixture_mean,
@@ -61,16 +60,19 @@ class GridSpec:
 def evaluation_grid(
     model: GaussianLocationModel,
     data: Dataset,
-    center_policy: CenterPolicy = CenterPolicy.SAMPLE_MEAN,
     spec: GridSpec | None = None,
 ) -> np.ndarray:
-    """Equally spaced grid; defaults to posterior mean +/- 6 bagged sd."""
+    """Equally spaced grid; defaults to posterior mean +/- 6 bagged sd.
+
+    The bagged variance, posterior variance plus that of the replicate-mean
+    law, does not depend on the bootstrap center, so neither does the grid.
+    """
     if spec is None:
         spec = GridSpec()
     if spec.lo is not None:
         return np.linspace(spec.lo, spec.hi, spec.points)
     center = posterior(model, data).mean
-    span = 6.0 * bayesbag_exact(model, data, center_policy).sd
+    span = 6.0 * bayesbag_exact(model, data).sd
     return np.linspace(center - span, center + span, spec.points)
 
 
@@ -133,7 +135,7 @@ def build_band(
     if cfg.replicates < 2:
         raise ValueError("need at least 2 replicates for a band")
     mix = bayesbag_mc(model, data, cfg)
-    grid = evaluation_grid(model, data, cfg.center_policy, grid_spec)
+    grid = evaluation_grid(model, data, grid_spec)
     values = _component_values(mix, grid)
     return CdfBand(
         grid,
@@ -179,7 +181,7 @@ def bagged_cdf_curves(
     bagged_interval, degenerate_flag)``; the interval comes from the same
     object that produced the curve.
     """
-    grid = evaluation_grid(model, data, cfg.center_policy, grid_spec)
+    grid = evaluation_grid(model, data, grid_spec)
     post_curve = _normal_curve(posterior(model, data), grid)
     if cfg.scheme.kind is SchemeKind.PARAMETRIC_BOOTSTRAP:
         bag = bayesbag_exact(model, data, cfg.center_policy)

@@ -22,13 +22,18 @@ numpy-only kernel pair:
   wherever ``Phi(a)`` is a normal float (``a`` above about -37.5), set by
   the rounding of ``x``; it is within 16 ulps of ``scipy.special.ndtr``
   for ``|a| <= 5``.
-* :func:`_ndtri`, its inverse, Wichura's algorithm AS241 (Appl. Statist. 37,
-  1988) with the coefficients and branch points of the standard library's
-  ``statistics.NormalDist.inv_cdf``, which it equals bit for bit.
+* :func:`_ndtri`, its inverse for one float, Wichura's algorithm AS241
+  (Appl. Statist. 37, 1988) with the coefficients and branch points of the
+  standard library's ``statistics.NormalDist.inv_cdf``, which it equals bit
+  for bit.
 
-Both are strictly elementwise: output ``i`` depends only on input ``i``,
-whatever the array's shape or the element's position in it, so a scalar
-evaluation equals the same point of a grid evaluation bit for bit.
+One set of branch functions (:func:`_erf`, :func:`_half_erfc` and the
+:func:`_horner` and :func:`_exp_neg_square` they call) serves a float and an
+array alike: written with augmented assignments, they work on an array in
+fresh buffers of their own and rebind a float through the same roundings.
+So :func:`_ndtr` is strictly elementwise: output ``i`` depends only on input
+``i``, whatever the array's shape or the element's position in it, and a
+scalar evaluation equals the same point of a grid evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -52,8 +57,9 @@ __all__ = [
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
 
-# elements of the flattened input that _ndtr evaluates at once: its six
-# scratch rows of 2**14 float64 (128 KiB each) stay in a core's L2 cache
+# elements of the flattened input that _ndtr evaluates at once: the branch
+# functions' few temporaries of 2**14 float64 (128 KiB each) stay in a
+# core's L2 cache
 _KERNEL_BLOCK = 2**14
 
 # Cephes ndtr.c, highest degree first (U, Q and S lead with 1):
@@ -121,20 +127,12 @@ _AS241_FAR = (
 
 def _horner(x, coefs):
     """``coefs[0] x^k + ... + coefs[k]`` for a float or array ``x``, rounding as Cephes does."""
-    acc = x * coefs[0] + coefs[1]
+    acc = x * coefs[0]
+    acc += coefs[1]
     for c in coefs[2:]:
-        acc = acc * x + c
+        acc *= x
+        acc += c
     return acc
-
-
-def _horner_into(x, coefs, out):
-    """:func:`_horner` of the array ``x`` written into ``out``, with the same roundings."""
-    np.multiply(x, coefs[0], out=out)
-    out += coefs[1]
-    for c in coefs[2:]:
-        out *= x
-        out += c
-    return out
 
 
 def _exp_neg_square(z):
@@ -144,9 +142,18 @@ def _exp_neg_square(z):
     rounding of two exponentials, not the rounding of ``z^2``, an error in
     the exponent that grows as ``z^2``.
     """
-    m = np.floor(z * 128.0 + 0.5) * (1.0 / 128.0)
+    m = z * 128.0
+    m += 0.5
+    m = np.floor(m)
+    m *= 1.0 / 128.0
     g = m - z  # -f, exact: m is within 1/256 of z
-    return np.exp((m * 2.0 - g) * g) * np.exp(-(m * m))
+    y = m * 2.0
+    y -= g
+    y *= g
+    m *= -m
+    y = np.exp(y)
+    y *= np.exp(m)
+    return y
 
 
 def _erf(x):
@@ -157,77 +164,58 @@ def _erf(x):
 
 def _half_erfc(z, num, den):
     """``erfc(z) / 2`` with the ``num``/``den`` rational of ``z``'s range."""
-    return _exp_neg_square(z) * _horner(z, num) / _horner(z, den) * 0.5
-
-
-def _ndtr_scalar(a: float) -> float:
-    """``Phi(a)`` for one float, by the branch :func:`_ndtr_block` takes for it."""
-    x = a * _SQRT_HALF
-    if abs(x) < 1.0:
-        return 0.5 + 0.5 * _erf(x)
-    if x <= -8.0:
-        return float(_half_erfc(min(-x, _ERFC_ZERO_Z), _ERFC_R, _ERFC_S))
-    y = float(_half_erfc(min(abs(x), 8.0), _ERFC_P, _ERFC_Q))
-    return 1.0 - y if x > 0.0 else y
-
-
-def _ndtr_block(a, y, scratch):
-    """Write ``Phi(a)`` into ``y`` for a contiguous block ``a``; ``scratch`` has six rows.
-
-    The P/Q branch runs over the whole block on ``|x|`` clipped into its
-    range, in place; the cells of the other two branches are then
-    overwritten.
-    """
-    x, z, p, q, m, g = scratch
-    np.multiply(a, _SQRT_HALF, out=x)
-    np.abs(x, out=z)
-    small = np.flatnonzero(z < 1.0)
-    tail = np.flatnonzero(x <= -8.0)
-    np.clip(z, 1.0, 8.0, out=z)
-    # y = _half_erfc(z, _ERFC_P, _ERFC_Q), operation for operation
-    np.multiply(z, 128.0, out=m)
-    m += 0.5
-    np.floor(m, out=m)
-    m *= 1.0 / 128.0
-    np.subtract(m, z, out=g)
-    np.multiply(m, 2.0, out=y)
-    y -= g
-    y *= g
-    np.exp(y, out=y)
-    m *= m
-    np.negative(m, out=m)
-    y *= np.exp(m, out=m)
-    y *= _horner_into(z, _ERFC_P, p)
-    y /= _horner_into(z, _ERFC_Q, q)
+    y = _exp_neg_square(z)
+    y *= _horner(z, num)
+    y /= _horner(z, den)
     y *= 0.5
-    np.subtract(1.0, y, out=y, where=x > 0.0)
-    if small.size:
-        y[small] = 0.5 + 0.5 * _erf(x[small])
-    if tail.size:
-        y[tail] = _half_erfc(np.minimum(-x[tail], _ERFC_ZERO_Z), _ERFC_R, _ERFC_S)
+    return y
 
 
 def _ndtr(a):
     """Standard normal CDF of ``a``, elementwise; see the module docstring.
 
     ``-inf`` and ``inf`` map to 0 and 1 and NaN to NaN, with no warning.
-    An array is evaluated in blocks of ``_KERNEL_BLOCK`` elements of its
-    flattened form; a 0-d input gives a float.
+    A 0-d input gives a float, from the one branch its value selects.  An
+    array is evaluated in blocks of ``_KERNEL_BLOCK`` elements of its
+    flattened form: the P/Q branch runs over the whole block on ``|x|``
+    clipped into its range, and the cells of the other two branches are
+    then overwritten.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim == 0:
-        return _ndtr_scalar(float(a))
+        x = float(a) * _SQRT_HALF
+        if abs(x) < 1.0:
+            return 0.5 + 0.5 * _erf(x)
+        if x <= -8.0:
+            return float(_half_erfc(min(-x, _ERFC_ZERO_Z), _ERFC_R, _ERFC_S))
+        y = float(_half_erfc(min(abs(x), 8.0), _ERFC_P, _ERFC_Q))
+        return 1.0 - y if x > 0.0 else y
     flat = a.reshape(-1)
     out = np.empty(flat.shape)
-    scratch = np.empty((6, min(flat.size, _KERNEL_BLOCK)))
     for start in range(0, flat.size, _KERNEL_BLOCK):
-        stop = min(start + _KERNEL_BLOCK, flat.size)
-        _ndtr_block(flat[start:stop], out[start:stop], scratch[:, :stop - start])
+        x = flat[start:start + _KERNEL_BLOCK] * _SQRT_HALF
+        z = np.abs(x)
+        small = np.flatnonzero(z < 1.0)
+        tail = np.flatnonzero(x <= -8.0)
+        y = _half_erfc(np.clip(z, 1.0, 8.0, out=z), _ERFC_P, _ERFC_Q)
+        np.subtract(1.0, y, out=y, where=x > 0.0)
+        if small.size:
+            y[small] = 0.5 + 0.5 * _erf(x[small])
+        if tail.size:
+            y[tail] = _half_erfc(np.minimum(-x[tail], _ERFC_ZERO_Z), _ERFC_R, _ERFC_S)
+        out[start:start + y.size] = y
     return out.reshape(a.shape)
 
 
-def _ndtri_scalar(p: float) -> float:
-    """Standard normal quantile of one float by AS241, as the standard library computes it."""
+def _ndtri(p: float) -> float:
+    """Standard normal quantile of one float by AS241, as the standard library computes it.
+
+    0 and 1 map to ``-inf`` and ``inf``; NaN and values outside [0, 1] give
+    NaN.  The package asks for one probability at a time, so this runs in
+    Python floats: ``math.log`` is the C library's logarithm that the
+    standard library uses, where numpy's vectorised ``log`` differs from it
+    in the last bit for about 0.2% of arguments.
+    """
     if not 0.0 < p < 1.0:
         return -math.inf if p == 0.0 else math.inf if p == 1.0 else math.nan
     q = p - 0.5
@@ -241,22 +229,6 @@ def _ndtri_scalar(p: float) -> float:
     return -x if q < 0.0 else x
 
 
-def _ndtri(p):
-    """Standard normal quantile of ``p``, elementwise; see the module docstring.
-
-    0 and 1 map to ``-inf`` and ``inf``; NaN and values outside [0, 1] give
-    NaN.  A 0-d input gives a float.  Each element is evaluated in Python
-    floats: the package asks for one or two probabilities at a time, and
-    ``math.log`` is the C library's logarithm that the standard library
-    uses, where numpy's vectorised ``log`` differs from it in the last bit
-    for about 0.2% of arguments.
-    """
-    p = np.asarray(p, dtype=float)
-    if p.ndim == 0:
-        return _ndtri_scalar(float(p))
-    return np.array([_ndtri_scalar(v) for v in p.ravel().tolist()]).reshape(p.shape)
-
-
 def _normal_cdf(u, mean, sd):
     """Normal CDF at ``u`` for broadcastable ``u``, ``mean`` and positive ``sd``.
 
@@ -267,7 +239,7 @@ def _normal_cdf(u, mean, sd):
 
 
 def _normal_quantile(p, mean, sd):
-    """Normal quantile ``mean + sd * z(p)`` for broadcastable ``mean`` and ``sd``.
+    """Normal quantile ``mean + sd * z(p)`` for one ``p`` and broadcastable ``mean`` and ``sd``.
 
     ``z = _ndtri(p)`` is the standard normal quantile (AS241), so quantile
     ratios between distributions reduce to their sd ratios without extra

@@ -27,7 +27,9 @@ from bayesbag import (
     normal_cdf,
     posterior,
 )
+from bayesbag.bagging import _QUANTILE_CDF_TOL
 from bayesbag.cli import (
+    RESOLUTION_ULPS,
     _fill,
     _grid_template,
     _write_dataset,
@@ -227,6 +229,14 @@ class TestBag:
         assert (gen_dir / "report.csv").read_bytes() == (file_dir / "report.csv").read_bytes()
         assert (gen_dir / "cdf.csv").read_bytes() == (file_dir / "cdf.csv").read_bytes()
 
+    def test_level_round_trips_through_report(self, tmp_path, capsys):
+        # six significant digits would print 1 and "100% interval"
+        rc = main(["bag", "--synthetic-n", "5", "--level", "0.9999999", "--out", str(tmp_path)])
+        assert rc == 0
+        assert "posterior 99.99999% interval" in capsys.readouterr().out
+        (row,) = read_rows(tmp_path / "report.csv")
+        assert float(row["level"]) == 0.9999999
+
 
 class TestCurves:
     def test_row_count_and_sentinels(self, tmp_path):
@@ -368,6 +378,8 @@ BASE_ARGS = {
 }
 bad_seeds = st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64))
 bad_variances = st.one_of(st.floats(max_value=0.0), st.sampled_from([math.inf, math.nan]))
+# the smallest level, and the smallest tail (1 - level)/2, the CLI accepts
+LEVEL_FLOOR = RESOLUTION_ULPS * _QUANTILE_CDF_TOL
 OUT_OF_RANGE = [
     ("--seed", ("table1", "bag", "curves"), bad_seeds),
     ("--synthetic-seed", ("bag", "curves"), bad_seeds),
@@ -375,7 +387,13 @@ OUT_OF_RANGE = [
     (
         "--level",
         ("bag", "curves"),
-        st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0), st.just(math.nan)),
+        st.one_of(
+            st.floats(max_value=0.0),
+            st.floats(min_value=1.0),
+            st.just(math.nan),
+            st.floats(min_value=0.0, max_value=LEVEL_FLOOR, exclude_min=True, exclude_max=True),
+            st.floats(min_value=1.0 - 2.0 * LEVEL_FLOOR, max_value=1.0, exclude_max=True),
+        ),
     ),
     ("--tau-sq", ("bag", "curves"), bad_variances),
     ("--sigma-sq", ("bag", "curves"), bad_variances),
@@ -412,6 +430,17 @@ class TestInputErrors:
             ],
             (["bag", "--synthetic-n", "100", "--synthetic-theta", "1",
               "--sigma-sq", "1e-40", "--scheme", "nonparametric"], "--sigma-sq"),
+            # a level or tail below the floor: bisection cannot resolve the interval
+            *[
+                (["bag", "--synthetic-n", "5", "--level", level, "--scheme", scheme], "--level")
+                for level, scheme in (
+                    ("1e-16", "parametric"), ("1e-300", "parametric"),
+                    ("0.9999999999999999", "parametric"), ("1e-12", "nonparametric"),
+                )
+            ],
+            # the interval's endpoints round together at the data's magnitude
+            (["bag", "--synthetic-n", "5", "--synthetic-theta", "1e8", "--level", "1e-6"],
+             "--level"),
         ],
         ids=[
             "seed-negative", "synthetic-seed-negative", "m-above-n", "table1-mc-B-zero",
@@ -420,6 +449,8 @@ class TestInputErrors:
             "input-8e307-nonparametric", "input-8e307-subsample-m1",
             "theta-5-sigma-sq-1e-300-parametric", "theta-5-sigma-sq-1e-300-nonparametric",
             "theta-5-sigma-sq-1e-300-subsample", "theta-1-sigma-sq-1e-40-nonparametric",
+            "level-1e-16", "level-1e-300", "level-1-minus-1e-16", "level-1e-12-nonparametric",
+            "level-1e-6-theta-1e8",
         ],
     )
     def test_bad_input_exits_2_naming_its_flag(self, tmp_path, capsys, argv, flag):

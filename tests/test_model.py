@@ -223,8 +223,8 @@ class TestNormalKernels:
 
     def test_ndtri_edges(self):
         assert _ndtri(0.0) == -math.inf and _ndtri(1.0) == math.inf
-        values = _ndtri(np.array([-0.5, 1.5, np.nan]))
-        assert np.isnan(values).all()
+        for p in (-0.5, 1.5, math.nan):
+            assert math.isnan(_ndtri(p))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -254,22 +254,11 @@ class TestNormalKernels:
         if size % 2 == 0:
             assert _same(_ndtr(x.reshape(2, -1).T), values.reshape(2, -1).T)
 
-    @given(st.lists(st.floats(0.0, 1.0), max_size=40))
-    def test_ndtri_elementwise(self, probs):
-        p = np.array(probs, dtype=float)
-        values = _ndtri(p)
-        assert values.shape == p.shape
-        assert _same(values, [_ndtri(v) for v in p])
-        for i in range(p.size):
-            assert _same(values[i], _ndtri(p[i:i + 1])[0])
-
     def test_zero_d_and_empty(self):
         assert isinstance(_ndtr(np.float64(0.3)), float)
         assert _ndtr(np.array(0.3)) == _ndtr(np.array([0.3]))[0]
-        assert _ndtri(np.array(0.3)) == _ndtri(np.array([0.3]))[0]
-        for kernel in (_ndtr, _ndtri):
-            assert kernel(np.empty(0)).shape == (0,)
-            assert kernel(np.empty((0, 3))).shape == (0, 3)
+        assert _ndtr(np.empty(0)).shape == (0,)
+        assert _ndtr(np.empty((0, 3))).shape == (0, 3)
 
 
 class TestTypes:
