@@ -59,6 +59,12 @@ DEFAULT_REPLICATES = 1000
 DEFAULT_SEED = 42
 
 _QUANTILE_CDF_TOL = 1e-12
+# A posterior sd must span this many float spacings (math.ulp) of the data's
+# magnitude.  mixture_quantile stops at a relative bracket width of 1e-14,
+# which is 45 to 90 spacings; at 2**10 that stays below a tenth of an sd.
+# Below about one spacing the interval endpoints round together.  The same
+# margin over _QUANTILE_CDF_TOL bounds the level, so bisection resolves it.
+RESOLUTION_ULPS = 2**10
 _QUANTILE_REL_WIDTH = 1e-14
 _QUANTILE_MAX_ITER = 200
 
@@ -262,11 +268,19 @@ def mixture_quantile(mix: MixtureCdf, p: float) -> float:
 
 
 def credible_interval(dist_or_mix, level: float = 0.95) -> QuantilePair:
-    """Central credible interval between the (1-level)/2 and 1-(1-level)/2 quantiles."""
+    """Central credible interval between the (1-level)/2 and 1-(1-level)/2 quantiles.
+
+    The level and each tail ``(1 - level)/2`` must be at least
+    ``RESOLUTION_ULPS`` CDF tolerances of :func:`mixture_quantile`.
+    """
     level = float(level)
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
     alpha = 0.5 * (1.0 - level)
+    floor = RESOLUTION_ULPS * _QUANTILE_CDF_TOL
+    if not (level >= floor and alpha >= floor):
+        raise ValueError(
+            f"level must be in (0, 1), with the level and each tail (1 - level)/2 "
+            f"at least {floor:.3g}, below which the interval cannot be resolved"
+        )
     if isinstance(dist_or_mix, NormalDist):
         return QuantilePair(
             normal_quantile(alpha, dist_or_mix),

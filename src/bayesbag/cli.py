@@ -18,7 +18,7 @@ import numpy as np
 
 from .bagging import (
     DEFAULT_SEED,
-    _QUANTILE_CDF_TOL,
+    RESOLUTION_ULPS,
     BagConfig,
     CenterPolicy,
     bayesbag_exact,
@@ -28,9 +28,8 @@ from .bagging import (
 from .diagnostics import (
     DEFAULT_GRID_POINTS,
     GridSpec,
-    _report_from_curves,
-    bagged_cdf_curves,
     build_band,
+    make_report,
 )
 from .model import Dataset, GaussianLocationModel, posterior
 from .resampling import ResampleScheme, SchemeKind, Seed
@@ -55,13 +54,6 @@ REFERENCE_TRUE_LOCATION = 1.31
 # Sentinel replicate ids in curves.csv
 MEAN_CURVE_ID = -1
 POSTERIOR_CURVE_ID = -2
-
-# A posterior sd must span this many float spacings (math.ulp) of the data's
-# magnitude.  mixture_quantile stops at a relative bracket width of 1e-14,
-# which is 45 to 90 spacings; at 2**10 that stays below a tenth of an sd.
-# Below about one spacing the interval endpoints round together.  The same
-# margin over mixture_quantile's CDF tolerance bounds the credible level.
-RESOLUTION_ULPS = 2**10
 
 # 17 significant digits, which parse back to the same float64.  Float CSVs
 # are written from %-templates of these cells, so a whole block of values is
@@ -111,8 +103,9 @@ def synthetic_dataset(n: int, theta: float, sigma_sq: float, master: int) -> Dat
 
 
 def _derived_master(master: int, tag: int) -> int:
-    # separates data-generation streams from replicate streams under one seed
-    return int(np.random.SeedSequence((master, tag)).generate_state(1, np.uint64)[0])
+    # separates data streams from replicate streams; Seed range-checks master
+    seed = Seed(master, tag)
+    return int(np.random.SeedSequence((seed.master, tag)).generate_state(1, np.uint64)[0])
 
 
 def _checked(flag: str, build, *args, **kwargs):
@@ -126,35 +119,27 @@ def _checked(flag: str, build, *args, **kwargs):
 def _resolve(args):
     """(model, dataset, bag config, grid spec) of a bag/curves invocation.
 
-    The domain types validate their own values; this maps each rejection to
-    the flag that supplied it.  Two things no domain type holds are checked
-    here.  The credible level and each tail ``(1 - level) / 2`` must be at
-    least ``RESOLUTION_ULPS`` CDF tolerances of ``mixture_quantile``, so
-    that bisection resolves each endpoint and the interval between them.
-    The full-data posterior's sd, and the half-width of its credible
-    interval, must span ``RESOLUTION_ULPS`` float spacings at the largest
-    of ``|x|`` and ``|posterior mean|``.  (A variance that underflows to 0
-    is already rejected by ``posterior``.)  No replicate has more
-    observations, so every replicate posterior, and with them the bagged
-    interval, is at least as wide; and with sd bounded by
-    ``sqrt(tau_sq)``, the bound caps ``|x|`` far below where a replicate
-    sum could overflow.
+    The domain types, and ``credible_interval`` for the level, validate
+    their own values; this maps each rejection to the flag that supplied
+    it.  One rule no domain type holds is checked here: the full-data
+    posterior's sd, and the half-width of its credible interval, must span
+    ``RESOLUTION_ULPS`` float spacings at the largest of ``|x|`` and
+    ``|posterior mean|``.  (A variance that underflows to 0 is already
+    rejected by ``posterior``.)  No replicate has more observations, so
+    every replicate posterior, and with them the bagged interval, is at
+    least as wide; and with sd bounded by ``sqrt(tau_sq)``, the bound caps
+    ``|x|`` far below where a replicate sum could overflow.
     """
-    floor = RESOLUTION_ULPS * _QUANTILE_CDF_TOL
-    if not (args.level >= floor and 0.5 * (1.0 - args.level) >= floor):
-        raise InputError(
-            f"--level must be in (0, 1), with the level and each tail (1 - level)/2 "
-            f"at least {floor:.3g}, below which the interval cannot be resolved"
-        )
     if (args.input is None) == (args.synthetic_n is None):
         raise InputError("give exactly one of --input or --synthetic-n")
     model = _checked("--tau-sq/--sigma-sq", GaussianLocationModel, args.tau_sq, args.sigma_sq)
     if args.input is not None:
         data = _checked("--input", read_observations, args.input)
     else:
+        master = _checked("--synthetic-seed", _derived_master, args.synthetic_seed, 0)
         data = _checked(
-            "--synthetic-theta/--synthetic-seed", synthetic_dataset,
-            args.synthetic_n, args.synthetic_theta, model.sigma_sq, args.synthetic_seed,
+            "--synthetic-theta", synthetic_dataset,
+            args.synthetic_n, args.synthetic_theta, model.sigma_sq, master,
         )
     post = _checked("--tau-sq/--sigma-sq", posterior, model, data)
     scale = max(max(map(abs, data.observations)), abs(post.mean))
@@ -275,9 +260,7 @@ def cmd_table1(args) -> int:
 def cmd_bag(args) -> int:
     """Full pipeline on user data: report plus raw/bagged CDF curves."""
     model, data, cfg, grid_spec = _resolve(args)
-    curves = bagged_cdf_curves(model, data, cfg, grid_spec, level=args.level)
-    report = _report_from_curves(model, data, args.level, curves)
-    grid, post_curve, bag_curve = curves[:3]
+    report = make_report(model, data, cfg, grid_spec, args.level)
     post_iv, bag_iv = report.posterior_interval, report.bagged_interval
 
     pct = f"{100.0 * args.level:.15g}"
@@ -311,7 +294,8 @@ def cmd_bag(args) -> int:
     _write_csv(
         out / "cdf.csv",
         "u,F_posterior,F_bayesbag",
-        [_fill(_grid_template(grid, "", 2), np.column_stack((post_curve, bag_curve)))],
+        [_fill(_grid_template(report.grid, "", 2),
+               np.column_stack((report.posterior_curve, report.bagged_curve)))],
     )
     if args.input is None:
         _write_dataset(out / "data.csv", data)

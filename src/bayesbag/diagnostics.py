@@ -105,15 +105,18 @@ class CdfBand:
         return self.per_replicate.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BagReport:
-    """Raw-vs-bagged interval comparison with stability diagnostics."""
+    """Raw-vs-bagged interval comparison, with the grid and the two CDF curves it was measured on."""
 
     posterior_interval: QuantilePair
     bagged_interval: QuantilePair
     widening_ratio: float
     ks_distance: float
     degenerate_resampling_flag: bool
+    grid: np.ndarray
+    posterior_curve: np.ndarray
+    bagged_curve: np.ndarray
 
     def __post_init__(self):
         if not 0.0 <= self.ks_distance <= 1.0:
@@ -206,21 +209,19 @@ def make_report(
 
     ``ks_distance`` is the sup distance between the raw-posterior and bagged
     CDFs evaluated on the grid (grid-approximate, not the exact sup over R).
+    The report keeps the grid and both curves of :func:`bagged_cdf_curves`.
     """
-    curves = bagged_cdf_curves(model, data, cfg, grid_spec, level)
-    return _report_from_curves(model, data, level, curves)
-
-
-def _report_from_curves(model, data, level, curves) -> BagReport:
-    """The :func:`make_report` comparison for a :func:`bagged_cdf_curves` result."""
-    _, post_curve, bag_curve, bagged_interval, degenerate = curves
+    grid, post_curve, bag_curve, bagged_interval, degenerate = bagged_cdf_curves(
+        model, data, cfg, grid_spec, level
+    )
     posterior_interval = credible_interval(posterior(model, data), level)
-    widening = bagged_interval.width / posterior_interval.width
-    ks = float(np.max(np.abs(post_curve - bag_curve)))
     return BagReport(
         posterior_interval=posterior_interval,
         bagged_interval=bagged_interval,
-        widening_ratio=widening,
-        ks_distance=ks,
+        widening_ratio=bagged_interval.width / posterior_interval.width,
+        ks_distance=float(np.max(np.abs(post_curve - bag_curve))),
         degenerate_resampling_flag=degenerate,
+        grid=grid,
+        posterior_curve=post_curve,
+        bagged_curve=bag_curve,
     )

@@ -331,6 +331,12 @@ class TestCredibleInterval:
             credible_interval(NormalDist(0.0, 1.0), 0.0)
         with pytest.raises(ValueError):
             credible_interval(NormalDist(0.0, 1.0), 1.0)
+        # below the floor, a level or tail that bisection cannot resolve
+        mix = MixtureCdf([NormalDist(0.1, 0.2), NormalDist(0.5, 0.3), NormalDist(0.9, 0.2)])
+        for dist in (NormalDist(0.0, 1.0), mix):
+            for level in (1e-12, 1e-16, 0.9999999999999999, math.nan):
+                with pytest.raises(ValueError, match=r"each tail \(1 - level\)/2 at least 1.02e-09"):
+                    credible_interval(dist, level)
 
     def test_type_dispatch(self):
         with pytest.raises(TypeError):

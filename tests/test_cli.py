@@ -19,17 +19,20 @@ from bayesbag import (
     GaussianLocationModel,
     GridSpec,
     ResampleScheme,
+    Seed,
     bagged_cdf_curves,
     bayesbag_exact,
     build_band,
     credible_interval,
     make_report,
     normal_cdf,
+    point_estimate,
     posterior,
+    resample,
 )
-from bayesbag.bagging import _QUANTILE_CDF_TOL
+from bayesbag.bagging import _QUANTILE_CDF_TOL, RESOLUTION_ULPS
 from bayesbag.cli import (
-    RESOLUTION_ULPS,
+    _derived_master,
     _fill,
     _grid_template,
     _write_dataset,
@@ -150,6 +153,10 @@ class TestBag:
         assert float(row["bayesbag_lo"]) == reference.bagged_interval.lo
         assert float(row["bayesbag_hi"]) == reference.bagged_interval.hi
         assert float(row["widening_ratio"]) == reference.widening_ratio
+        table = np.loadtxt(tmp_path / "cdf.csv", delimiter=",", skiprows=1)
+        curves = np.column_stack((reference.grid, reference.posterior_curve, reference.bagged_curve))
+        assert table.shape == curves.shape
+        assert table.tobytes() == curves.tobytes()
 
     def test_cdf_curve_columns(self, tmp_path):
         data_file = tmp_path / "obs.csv"
@@ -228,6 +235,14 @@ class TestBag:
         assert rc == 0
         assert (gen_dir / "report.csv").read_bytes() == (file_dir / "report.csv").read_bytes()
         assert (gen_dir / "cdf.csv").read_bytes() == (file_dir / "cdf.csv").read_bytes()
+
+    def test_synthetic_data_stream_apart_from_replicate_streams(self, tmp_path):
+        # --synthetic-seed and --seed both default to 42; parametric replicate
+        # 0 must not be the data's own draws shifted by a constant
+        assert main(["bag", "--synthetic-n", "25", "--out", str(tmp_path)]) == 0
+        data = read_observations(tmp_path / "data.csv")
+        replicate = resample(ResampleScheme.parametric(), MODEL, data, point_estimate(data), Seed(42, 0))
+        assert abs(np.corrcoef(data.observations, replicate.observations)[0, 1]) < 0.9
 
     def test_level_round_trips_through_report(self, tmp_path, capsys):
         # six significant digits would print 1 and "100% interval"
@@ -315,7 +330,7 @@ class TestFloatCsv:
         assert main(["curves", *flags, "--grid-points", "2", "--out", str(curves_dir)]) == 0
         assert main(["bag", *flags, "--out", str(bag_dir)]) == 0
 
-        data = synthetic_dataset(7, 0.3, 1.0, 5)
+        data = synthetic_dataset(7, 0.3, 1.0, _derived_master(5, 0))
         cfg = BagConfig(2, ResampleScheme.nonparametric(), 11)
         band = build_band(MODEL, data, cfg, GridSpec(2))
         post = posterior(MODEL, data)
