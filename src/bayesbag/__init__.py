@@ -4,82 +4,16 @@ Stabilizes a posterior against data perturbation by averaging posterior CDFs
 computed on bootstrap- or subsampled datasets, with an exact closed form for
 the parametric-bootstrap Gaussian case and general mixture-CDF machinery for
 everything else.
+
+The public names are those listed in each module's ``__all__``.
 """
 
-from .bagging import (
-    BagConfig,
-    CenterPolicy,
-    MixtureCdf,
-    QuantilePair,
-    bayesbag_exact,
-    bayesbag_mc,
-    bayesbag_quadrature,
-    credible_interval,
-    mixture_cdf_eval,
-    mixture_quantile,
-)
-from .diagnostics import (
-    BagReport,
-    CdfBand,
-    GridSpec,
-    bagged_cdf_curves,
-    build_band,
-    evaluation_grid,
-    make_report,
-)
-from .model import (
-    Dataset,
-    GaussianLocationModel,
-    NormalDist,
-    normal_cdf,
-    normal_pdf,
-    normal_quantile,
-    posterior,
-)
-from .resampling import (
-    PointEstimate,
-    ResampleScheme,
-    SchemeKind,
-    Seed,
-    bootstrap_mean_law,
-    map_point_estimate,
-    point_estimate,
-    resample,
-)
+from . import bagging, diagnostics, model, resampling
+from .bagging import *
+from .diagnostics import *
+from .model import *
+from .resampling import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BagConfig",
-    "BagReport",
-    "CdfBand",
-    "CenterPolicy",
-    "Dataset",
-    "GaussianLocationModel",
-    "GridSpec",
-    "MixtureCdf",
-    "NormalDist",
-    "PointEstimate",
-    "QuantilePair",
-    "ResampleScheme",
-    "SchemeKind",
-    "Seed",
-    "bagged_cdf_curves",
-    "bayesbag_exact",
-    "bayesbag_mc",
-    "bayesbag_quadrature",
-    "bootstrap_mean_law",
-    "build_band",
-    "credible_interval",
-    "evaluation_grid",
-    "make_report",
-    "map_point_estimate",
-    "mixture_cdf_eval",
-    "mixture_quantile",
-    "normal_cdf",
-    "normal_pdf",
-    "normal_quantile",
-    "point_estimate",
-    "posterior",
-    "resample",
-]
+__all__ = bagging.__all__ + diagnostics.__all__ + model.__all__ + resampling.__all__

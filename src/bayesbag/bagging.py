@@ -16,6 +16,7 @@ kept as an independent check on that derivation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -57,6 +58,7 @@ __all__ = [
 
 DEFAULT_REPLICATES = 1000
 DEFAULT_SEED = 42
+DEFAULT_LEVEL = 0.95
 
 _QUANTILE_CDF_TOL = 1e-12
 # A posterior sd must span this many float spacings (math.ulp) of the data's
@@ -86,11 +88,11 @@ class BagConfig:
     center_policy: CenterPolicy = CenterPolicy.SAMPLE_MEAN
 
     def __post_init__(self):
-        replicates = int(self.replicates)
+        replicates = operator.index(self.replicates)
         if replicates < 1:
             raise ValueError("replicates must be at least 1")
         object.__setattr__(self, "replicates", replicates)
-        Seed(self.seed)  # validates the master range
+        object.__setattr__(self, "seed", Seed(self.seed).master)  # Seed range-checks it
 
 
 @dataclass(frozen=True)
@@ -267,7 +269,7 @@ def mixture_quantile(mix: MixtureCdf, p: float) -> float:
     return mid
 
 
-def credible_interval(dist_or_mix, level: float = 0.95) -> QuantilePair:
+def credible_interval(dist_or_mix, level: float = DEFAULT_LEVEL) -> QuantilePair:
     """Central credible interval between the (1-level)/2 and 1-(1-level)/2 quantiles.
 
     The level and each tail ``(1 - level)/2`` must be at least

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .bagging import (
+    DEFAULT_LEVEL,
     DEFAULT_SEED,
     RESOLUTION_ULPS,
     BagConfig,
@@ -43,13 +44,13 @@ __all__ = [
 
 DEFAULT_TAU_SQ = 4.0
 DEFAULT_SIGMA_SQ = 1.0
-DEFAULT_LEVEL = 0.95
 
 # Built-in reference scenario: sample means back-solved from the published
 # two-row interval table (posterior centers 1.06 and 0.71); --simulate draws
 # fresh data at location 1.31 instead.
 REFERENCE_SAMPLE_MEANS = {1: 1.325, 10: 0.72775}
 REFERENCE_TRUE_LOCATION = 1.31
+REFERENCE_MC_REPLICATES = 10000
 
 # Sentinel replicate ids in curves.csv
 MEAN_CURVE_ID = -1
@@ -63,6 +64,8 @@ _CELL = "%.17g"
 _FULL = _CELL.__mod__
 _ROUNDED = "{:.2f}".format
 _DATA_BLOCK_ROWS = 4096
+# float64 values an array can hold: its size in bytes cannot exceed sys.maxsize
+_MAX_COUNT = sys.maxsize // 8
 
 
 class InputError(Exception):
@@ -102,6 +105,12 @@ def synthetic_dataset(n: int, theta: float, sigma_sq: float, master: int) -> Dat
     return Dataset(tuple(float(v) for v in draws))
 
 
+def _check_count(flag: str, count: int) -> None:
+    """Reject a count of float64 values that no array can hold."""
+    if count > _MAX_COUNT:
+        raise InputError(f"{flag}: {count} values exceed the largest float64 array ({_MAX_COUNT})")
+
+
 def _derived_master(master: int, tag: int) -> int:
     # separates data streams from replicate streams; Seed range-checks master
     seed = Seed(master, tag)
@@ -136,6 +145,7 @@ def _resolve(args):
     if args.input is not None:
         data = _checked("--input", read_observations, args.input)
     else:
+        _check_count("--synthetic-n", args.synthetic_n)
         master = _checked("--synthetic-seed", _derived_master, args.synthetic_seed, 0)
         data = _checked(
             "--synthetic-theta", synthetic_dataset,
@@ -164,9 +174,14 @@ def _resolve(args):
         _checked("--m", scheme.subsample_size_for, data.n)
     else:
         scheme = ResampleScheme(kind)
+    _check_count("--B", args.B)
     cfg = _checked("--B/--seed", BagConfig, args.B, scheme, args.seed, CenterPolicy(args.center))
     grid_spec = _checked("--grid-points", GridSpec, args.grid_points)
     return model, data, cfg, grid_spec
+
+
+def _percent(level: float) -> str:
+    return f"{100.0 * level:.15g}"
 
 
 def _write_csv(path: Path, header: str, blocks) -> None:
@@ -199,7 +214,8 @@ def _write_dataset(path: Path, data: Dataset) -> None:
 
 
 def cmd_table1(args) -> int:
-    """Two-row reference table: raw and bagged 95% intervals for n=1 and n=10."""
+    """Two-row reference table: raw and bagged intervals for n=1 and n=10."""
+    _check_count("--B", args.B)
     cfg = _checked("--B/--seed", BagConfig, args.B, seed=args.seed)
     model = GaussianLocationModel(DEFAULT_TAU_SQ, DEFAULT_SIGMA_SQ)
     rows = []
@@ -220,7 +236,7 @@ def cmd_table1(args) -> int:
             method = "exact"
         rows.append((n, post_iv, bag_iv, method))
 
-    print(f"95% credible intervals (tau_sq={DEFAULT_TAU_SQ}, sigma_sq={DEFAULT_SIGMA_SQ})")
+    print(f"{_percent(DEFAULT_LEVEL)}% credible intervals (tau_sq={DEFAULT_TAU_SQ}, sigma_sq={DEFAULT_SIGMA_SQ})")
     print(f"{'n':>6}  {'posterior':>16}  {'bayesbag':>16}  method")
     for n, post_iv, bag_iv, method in rows:
         post = f"({_ROUNDED(post_iv.lo)}, {_ROUNDED(post_iv.hi)})"
@@ -263,7 +279,7 @@ def cmd_bag(args) -> int:
     report = make_report(model, data, cfg, grid_spec, args.level)
     post_iv, bag_iv = report.posterior_interval, report.bagged_interval
 
-    pct = f"{100.0 * args.level:.15g}"
+    pct = _percent(args.level)
     print(f"n = {data.n}, sample mean = {_FULL(data.mean)}")
     print(f"posterior {pct}% interval: [{_FULL(post_iv.lo)}, {_FULL(post_iv.hi)}]")
     print(f"bayesbag  {pct}% interval: [{_FULL(bag_iv.lo)}, {_FULL(bag_iv.hi)}]")
@@ -307,6 +323,7 @@ def cmd_curves(args) -> int:
     model, data, cfg, grid_spec = _resolve(args)
     if cfg.replicates < 2:
         raise InputError("--B: a band needs at least 2 replicates")
+    _check_count("--B/--grid-points", cfg.replicates * grid_spec.points)
     band = build_band(model, data, cfg, grid_spec)
 
     # one block per curve: the grid template with the curve's id put in
@@ -328,16 +345,17 @@ def cmd_curves(args) -> int:
 
 
 def _add_common_flags(sub) -> None:
+    defaults = BagConfig()
     sub.add_argument("--input", type=Path, default=None, help="CSV/text file, one observation per line")
     sub.add_argument("--synthetic-n", type=int, default=None, help="generate n observations instead of reading a file")
     sub.add_argument("--synthetic-theta", type=float, default=0.0, help="true location for generated data (default 0)")
     sub.add_argument("--synthetic-seed", type=int, default=DEFAULT_SEED, help="seed for generated data (default = fixed default seed)")
     sub.add_argument("--tau-sq", type=float, default=DEFAULT_TAU_SQ, help="prior variance")
     sub.add_argument("--sigma-sq", type=float, default=DEFAULT_SIGMA_SQ, help="known noise variance")
-    sub.add_argument("--scheme", choices=("parametric", "nonparametric", "subsample"), default="parametric")
+    sub.add_argument("--scheme", choices=[k.value for k in SchemeKind], default=defaults.scheme.kind.value)
     sub.add_argument("--m", type=int, default=None, help="subsample size (default ceil(n/2))")
-    sub.add_argument("--B", type=int, default=1000, help="bootstrap replicates")
-    sub.add_argument("--center", choices=("mean", "map"), default="mean", help="parametric bootstrap center")
+    sub.add_argument("--B", type=int, default=defaults.replicates, help="bootstrap replicates")
+    sub.add_argument("--center", choices=[p.value for p in CenterPolicy], default=defaults.center_policy.value, help="parametric bootstrap center")
     sub.add_argument("--level", type=float, default=DEFAULT_LEVEL, help="credible level")
     sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed (fixed default, not entropy)")
     sub.add_argument("--out", type=Path, default=Path("."), help="output directory")
@@ -354,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = table1.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true", help="closed-form bagged intervals (default)")
     mode.add_argument("--mc", action="store_true", help="Monte Carlo bagged intervals")
-    table1.add_argument("--B", type=int, default=10000, help="replicates for --mc")
+    table1.add_argument("--B", type=int, default=REFERENCE_MC_REPLICATES, help="replicates for --mc")
     table1.add_argument("--seed", type=int, default=DEFAULT_SEED)
     table1.add_argument("--simulate", action="store_true", help="draw fresh data at location 1.31 instead of the stored sample means")
     table1.add_argument("--out", type=Path, default=Path("."), help="output directory")
@@ -378,6 +396,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory, lower --B, --grid-points or --synthetic-n: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # numerical / internal failures
         print(f"internal error: {exc}", file=sys.stderr)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bagging import (
+    DEFAULT_LEVEL,
     BagConfig,
     QuantilePair,
     _component_values,
@@ -44,7 +46,7 @@ class GridSpec:
     hi: float | None = None
 
     def __post_init__(self):
-        points = int(self.points)
+        points = operator.index(self.points)
         if points < 2:
             raise ValueError("grid needs at least 2 points")
         object.__setattr__(self, "points", points)
@@ -175,7 +177,7 @@ def bagged_cdf_curves(
     data: Dataset,
     cfg: BagConfig,
     grid_spec: GridSpec | None = None,
-    level: float = 0.95,
+    level: float = DEFAULT_LEVEL,
 ):
     """Raw posterior and bagged CDF curves on a shared grid.
 
@@ -203,7 +205,7 @@ def make_report(
     data: Dataset,
     cfg: BagConfig,
     grid_spec: GridSpec | None = None,
-    level: float = 0.95,
+    level: float = DEFAULT_LEVEL,
 ) -> BagReport:
     """Assemble the interval comparison and grid-based diagnostics.
 

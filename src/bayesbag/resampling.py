@@ -18,6 +18,7 @@ from them.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,14 +34,14 @@ __all__ = [
     "point_estimate",
     "map_point_estimate",
     "resample",
-    "replicate_means",
     "bootstrap_mean_law",
 ]
 
 
 class SchemeKind(Enum):
-    NONPARAMETRIC_BOOTSTRAP = "nonparametric"
+    # in the order the CLI lists its --scheme choices
     PARAMETRIC_BOOTSTRAP = "parametric"
+    NONPARAMETRIC_BOOTSTRAP = "nonparametric"
     SUBSAMPLE = "subsample"
 
 
@@ -57,7 +58,7 @@ class ResampleScheme:
 
     def __post_init__(self):
         if self.subsample_size is not None:
-            size = int(self.subsample_size)
+            size = operator.index(self.subsample_size)
             if size < 1:
                 raise ValueError("subsample_size must be at least 1")
             object.__setattr__(self, "subsample_size", size)
@@ -96,8 +97,8 @@ class Seed:
     replicate_index: int = 0
 
     def __post_init__(self):
-        master = int(self.master)
-        index = int(self.replicate_index)
+        master = operator.index(self.master)
+        index = operator.index(self.replicate_index)
         if not 0 <= master < 2**64:
             raise ValueError("master seed must be a 64-bit unsigned integer")
         if index < 0:

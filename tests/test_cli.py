@@ -456,6 +456,19 @@ class TestInputErrors:
             # the interval's endpoints round together at the data's magnitude
             (["bag", "--synthetic-n", "5", "--synthetic-theta", "1e8", "--level", "1e-6"],
              "--level"),
+            # counts too large to allocate: 10**17 float64 values fail at once,
+            # 10**20 exceed any array
+            *[
+                case
+                for size in (str(10**17), str(10**20))
+                for case in (
+                    (["bag", "--synthetic-n", "5", "--scheme", "nonparametric", "--B", size], "--B"),
+                    (["table1", "--mc", "--B", size], "--B"),
+                    (["curves", "--synthetic-n", "3", "--B", "2", "--grid-points", size],
+                     "--grid-points"),
+                    (["bag", "--synthetic-n", size], "--synthetic-n"),
+                )
+            ],
         ],
         ids=[
             "seed-negative", "synthetic-seed-negative", "m-above-n", "table1-mc-B-zero",
@@ -466,6 +479,11 @@ class TestInputErrors:
             "theta-5-sigma-sq-1e-300-subsample", "theta-1-sigma-sq-1e-40-nonparametric",
             "level-1e-16", "level-1e-300", "level-1-minus-1e-16", "level-1e-12-nonparametric",
             "level-1e-6-theta-1e8",
+            *[
+                f"{flag}-{size}"
+                for size in ("1e17", "1e20")
+                for flag in ("bag-B", "table1-mc-B", "curves-grid-points", "synthetic-n")
+            ],
         ],
     )
     def test_bad_input_exits_2_naming_its_flag(self, tmp_path, capsys, argv, flag):
