@@ -69,6 +69,10 @@ _QUANTILE_CDF_TOL = 1e-12
 RESOLUTION_ULPS = 2**10
 _QUANTILE_REL_WIDTH = 1e-14
 _QUANTILE_MAX_ITER = 200
+# bayesbag_quadrature's Gauss-Hermite nodes, and the largest change it
+# accepts when they are halved
+_QUADRATURE_NODES = 128
+_QUADRATURE_RESIDUAL_TOL = 1e-10
 
 
 class CenterPolicy(Enum):
@@ -356,30 +360,27 @@ def bayesbag_quadrature(
     data: Dataset,
     u: float,
     center_policy: CenterPolicy = CenterPolicy.SAMPLE_MEAN,
-    nodes: int = 128,
-    residual_tol: float = 1e-10,
 ) -> float:
     """Numerically integrate the bagged-posterior CDF at ``u``.
 
     Gauss-Hermite quadrature of the posterior CDF against the replicate-mean
     density, after mapping the integration variable onto the exp(-t^2)
-    weight.  Convergence is checked by re-evaluating at half the node count;
-    a residual above ``residual_tol`` raises.  Kept as an independent
-    cross-check of :func:`bayesbag_exact`.
+    weight, with ``_QUADRATURE_NODES`` nodes.  Convergence is checked by
+    re-evaluating with half as many; a residual above
+    ``_QUADRATURE_RESIDUAL_TOL`` raises.  Kept as an independent cross-check
+    of :func:`bayesbag_exact`.
     """
     u = float(u)
     if math.isnan(u):
         raise ValueError("non-finite input")
-    if nodes < 64:
-        raise ValueError("need at least 64 quadrature nodes")
     post = posterior(model, data)
     law = _bootstrap_mean_moments(model, data.n, _resolve_center(model, data, center_policy))
-    value = _gauss_hermite_cdf(u, post.sd, *law, nodes)
-    coarse = _gauss_hermite_cdf(u, post.sd, *law, nodes // 2)
+    value = _gauss_hermite_cdf(u, post.sd, *law, _QUADRATURE_NODES)
+    coarse = _gauss_hermite_cdf(u, post.sd, *law, _QUADRATURE_NODES // 2)
     residual = abs(value - coarse)
-    if residual > residual_tol:
+    if residual > _QUADRATURE_RESIDUAL_TOL:
         raise RuntimeError(
             f"quadrature did not converge: residual estimate {residual:.3e} "
-            f"exceeds {residual_tol:.1e}"
+            f"exceeds {_QUADRATURE_RESIDUAL_TOL:.1e}"
         )
     return min(max(value, 0.0), 1.0)

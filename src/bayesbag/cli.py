@@ -172,6 +172,8 @@ def _resolve(args):
     if kind is SchemeKind.SUBSAMPLE:
         scheme = _checked("--m", ResampleScheme.subsample, args.m)
         _checked("--m", scheme.subsample_size_for, data.n)
+    elif args.m is not None:
+        raise InputError("--m: only --scheme subsample takes a subsample size")
     else:
         scheme = ResampleScheme(kind)
     _check_count("--B", args.B)

@@ -11,6 +11,7 @@ import numpy as np
 from .bagging import (
     DEFAULT_LEVEL,
     BagConfig,
+    CenterPolicy,
     QuantilePair,
     _component_values,
     _mixture_mean,
@@ -63,19 +64,26 @@ def evaluation_grid(
     model: GaussianLocationModel,
     data: Dataset,
     spec: GridSpec | None = None,
+    center_policy: CenterPolicy = CenterPolicy.SAMPLE_MEAN,
 ) -> np.ndarray:
-    """Equally spaced grid; defaults to posterior mean +/- 6 bagged sd.
+    """Equally spaced grid; defaults to 6 bagged sd beyond the posterior and bagged means.
 
-    The bagged variance, posterior variance plus that of the replicate-mean
-    law, does not depend on the bootstrap center, so neither does the grid.
+    The bagged mean is that of :func:`bayesbag_exact` under
+    ``center_policy``.  Under sample-mean centering it equals the posterior
+    mean bit for bit, so the grid is the posterior mean +/- 6 bagged sd;
+    under MAP centering the bagged mean is shrunk further towards 0, and the
+    grid stretches to cover both.  The bagged sd does not depend on the
+    center.
     """
     if spec is None:
         spec = GridSpec()
     if spec.lo is not None:
         return np.linspace(spec.lo, spec.hi, spec.points)
-    center = posterior(model, data).mean
-    span = 6.0 * bayesbag_exact(model, data).sd
-    return np.linspace(center - span, center + span, spec.points)
+    post_mean = posterior(model, data).mean
+    bag = bayesbag_exact(model, data, center_policy)
+    span = 6.0 * bag.sd
+    lo, hi = min(post_mean, bag.mean), max(post_mean, bag.mean)
+    return np.linspace(lo - span, hi + span, spec.points)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +148,7 @@ def build_band(
     if cfg.replicates < 2:
         raise ValueError("need at least 2 replicates for a band")
     mix = bayesbag_mc(model, data, cfg)
-    grid = evaluation_grid(model, data, grid_spec)
+    grid = evaluation_grid(model, data, grid_spec, cfg.center_policy)
     values = _component_values(mix, grid)
     return CdfBand(
         grid,
@@ -186,7 +194,7 @@ def bagged_cdf_curves(
     bagged_interval, degenerate_flag)``; the interval comes from the same
     object that produced the curve.
     """
-    grid = evaluation_grid(model, data, grid_spec)
+    grid = evaluation_grid(model, data, grid_spec, cfg.center_policy)
     post_curve = _normal_curve(posterior(model, data), grid)
     if cfg.scheme.kind is SchemeKind.PARAMETRIC_BOOTSTRAP:
         bag = bayesbag_exact(model, data, cfg.center_policy)

@@ -10,8 +10,8 @@ posterior is again normal:
 
 Everything downstream (resampling, bagging, diagnostics) is expressed in
 terms of the :class:`NormalDist` value type and the CDF/PDF/quantile helpers
-defined here.  Every normal CDF and quantile in the package goes through one
-numpy-only kernel pair:
+defined here.  Every normal CDF in the package goes through one numpy-only
+kernel, and every normal quantile through the standard library's:
 
 * :func:`_ndtr`, the standard normal CDF ``Phi(a) = erfc(-a / sqrt(2)) / 2``,
   with the rational approximations of the Cephes library's ``ndtr.c``
@@ -22,10 +22,8 @@ numpy-only kernel pair:
   wherever ``Phi(a)`` is a normal float (``a`` above about -37.5), set by
   the rounding of ``x``; it is within 16 ulps of ``scipy.special.ndtr``
   for ``|a| <= 5``.
-* :func:`_ndtri`, its inverse for one float, Wichura's algorithm AS241
-  (Appl. Statist. 37, 1988) with the coefficients and branch points of the
-  standard library's ``statistics.NormalDist.inv_cdf``, which it equals bit
-  for bit.
+* ``statistics.NormalDist().inv_cdf``, its inverse for one probability in
+  (0, 1): Wichura's algorithm AS241 (Appl. Statist. 37, 1988).
 
 One set of branch functions (:func:`_erf`, :func:`_half_erfc` and the
 :func:`_horner` and :func:`_exp_neg_square` they call) serves a float and an
@@ -39,6 +37,7 @@ scalar evaluation equals the same point of a grid evaluation bit for bit.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -95,34 +94,9 @@ _ERFC_S = (
 # past this z, exp(-z^2) and so erfc(z) underflow to 0
 _ERFC_ZERO_Z = 28.0
 
-# AS241 as in statistics.NormalDist.inv_cdf, (numerator, denominator) with
-# the highest degree first: the central branch |p - 1/2| <= 0.425 in
-# r = 0.180625 - (p - 1/2)^2, then the tails in r = sqrt(-log(min(p, 1 - p)))
-# less 1.6 for r <= 5, else less 5.
-_AS241_CENTRAL = (
-    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
-     4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
-     1.3314166789178437745e2, 3.3871328727963666080e0),
-    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
-     2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
-     4.2313330701600911252e1, 1.0),
-)
-_AS241_NEAR = (
-    (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
-     1.27045825245236838258e0, 3.64784832476320460504e0, 5.76949722146069140550e0,
-     4.63033784615654529590e0, 1.42343711074968357734e0),
-    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
-     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e0,
-     2.05319162663775882187e0, 1.0),
-)
-_AS241_FAR = (
-    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
-     2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
-     5.46378491116411436990e0, 6.65790464350110377720e0),
-    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
-     7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
-     5.99832206555887937690e-1, 1.0),
-)
+# standard normal quantile of one probability in (0, 1); StatisticsError
+# outside it, which every caller rejects first
+_std_normal_inv_cdf = statistics.NormalDist().inv_cdf
 
 
 def _horner(x, coefs):
@@ -207,28 +181,6 @@ def _ndtr(a):
     return out.reshape(a.shape)
 
 
-def _ndtri(p: float) -> float:
-    """Standard normal quantile of one float by AS241, as the standard library computes it.
-
-    0 and 1 map to ``-inf`` and ``inf``; NaN and values outside [0, 1] give
-    NaN.  The package asks for one probability at a time, so this runs in
-    Python floats: ``math.log`` is the C library's logarithm that the
-    standard library uses, where numpy's vectorised ``log`` differs from it
-    in the last bit for about 0.2% of arguments.
-    """
-    if not 0.0 < p < 1.0:
-        return -math.inf if p == 0.0 else math.inf if p == 1.0 else math.nan
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        num, den = _AS241_CENTRAL
-        return _horner(r, num) * q / _horner(r, den)
-    r = math.sqrt(-math.log(p if q <= 0.0 else 1.0 - p))
-    (num, den), r = (_AS241_NEAR, r - 1.6) if r <= 5.0 else (_AS241_FAR, r - 5.0)
-    x = _horner(r, num) / _horner(r, den)
-    return -x if q < 0.0 else x
-
-
 def _normal_cdf(u, mean, sd):
     """Normal CDF at ``u`` for broadcastable ``u``, ``mean`` and positive ``sd``.
 
@@ -239,13 +191,12 @@ def _normal_cdf(u, mean, sd):
 
 
 def _normal_quantile(p, mean, sd):
-    """Normal quantile ``mean + sd * z(p)`` for one ``p`` and broadcastable ``mean`` and ``sd``.
+    """Normal quantile ``mean + sd * z(p)`` for one ``p`` in (0, 1) and broadcastable ``mean`` and ``sd``.
 
-    ``z = _ndtri(p)`` is the standard normal quantile (AS241), so quantile
-    ratios between distributions reduce to their sd ratios without extra
-    rounding.
+    ``z`` is the standard normal quantile, so quantile ratios between
+    distributions reduce to their sd ratios without extra rounding.
     """
-    return mean + sd * _ndtri(p)
+    return mean + sd * _std_normal_inv_cdf(p)
 
 
 @dataclass(frozen=True)

@@ -114,10 +114,6 @@ class TestBayesbagQuadrature:
                 quad = bayesbag_quadrature(MODEL, data, u)
                 assert quad == pytest.approx(normal_cdf(u, bag), abs=1e-9)
 
-    def test_node_floor(self):
-        with pytest.raises(ValueError):
-            bayesbag_quadrature(MODEL, DATA_1, 0.0, nodes=32)
-
 
 class TestMixtureCdfEval:
     def test_mean_of_two_callables(self):

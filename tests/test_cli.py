@@ -111,14 +111,19 @@ class TestTable1:
 
     def test_runs_without_importing_scipy(self, tmp_path):
         # scipy is a test dependency only; importing it would cost every
-        # process most of its start-up time
+        # process most of its start-up time.  numpy is the only runtime
+        # dependency: every other module the CLI adds is the standard
+        # library's (site may have loaded third-party modules before it)
         src = str(Path(bayesbag.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = (
             "import sys\n"
+            "before = set(sys.modules)\n"
             "from bayesbag.cli import main\n"
+            "added = {m.split('.')[0] for m in set(sys.modules) - before}\n"
             f"assert main(['table1', '--out', {str(tmp_path)!r}]) == 0\n"
+            "print(sorted(added - {'bayesbag', 'numpy'} - sys.stdlib_module_names))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         result = subprocess.run(
@@ -126,7 +131,7 @@ class TestTable1:
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "[]"
+        assert result.stdout.splitlines()[-2:] == ["[]", "[]"]
 
 
 class TestBag:
@@ -428,6 +433,7 @@ class TestInputErrors:
             (["bag", "--synthetic-n", "5", "--seed", "-1"], "--seed"),
             (["bag", "--synthetic-n", "5", "--synthetic-seed", "-3"], "--synthetic-seed"),
             (["bag", "--synthetic-n", "3", "--scheme", "subsample", "--m", "5"], "--m"),
+            (["bag", "--synthetic-n", "10", "--scheme", "nonparametric", "--m", "3"], "--m"),
             (["table1", "--mc", "--B", "0"], "--B"),
             (["curves", "--synthetic-n", "5", "--B", "1"], "--B"),
             (["bag", "--synthetic-n", "5", "--tau-sq", "1e-320"], "--tau-sq"),
@@ -471,7 +477,8 @@ class TestInputErrors:
             ],
         ],
         ids=[
-            "seed-negative", "synthetic-seed-negative", "m-above-n", "table1-mc-B-zero",
+            "seed-negative", "synthetic-seed-negative", "m-above-n", "m-without-subsample",
+            "table1-mc-B-zero",
             "curves-B-one", "tau-sq-underflow", "sigma-sq-posterior-underflow",
             "input-sum-overflow", "input-1e308-nonparametric", "input-1e308-subsample-m1",
             "input-8e307-nonparametric", "input-8e307-subsample-m1",

@@ -8,6 +8,7 @@ import pytest
 
 from bayesbag import (
     BagConfig,
+    CenterPolicy,
     Dataset,
     GaussianLocationModel,
     GridSpec,
@@ -39,12 +40,35 @@ def band_width_at_median(band):
 
 class TestEvaluationGrid:
     def test_default_span(self):
-        grid = evaluation_grid(MODEL, DATA_1)
-        bag = bayesbag_exact(MODEL, DATA_1)
-        center = posterior(MODEL, DATA_1).mean
-        assert grid.shape == (401,)
-        assert grid[0] == pytest.approx(center - 6 * bag.sd)
-        assert grid[-1] == pytest.approx(center + 6 * bag.sd)
+        # under sample-mean centering the bag's mean is the posterior mean,
+        # so the grid is centred on both
+        for data in (DATA_1, DATA_10, Dataset((100.0, -3.5, 7.25))):
+            center = posterior(MODEL, data).mean
+            bag = bayesbag_exact(MODEL, data)
+            assert bag.mean == center
+            span = 6.0 * bag.sd
+            np.testing.assert_array_equal(
+                evaluation_grid(MODEL, data), np.linspace(center - span, center + span, 401)
+            )
+
+    def test_map_centered_bag_inside_default_grid(self):
+        # MAP centering shrinks the bag's mean towards 0, far below the
+        # posterior mean for one observation of 100: the grid spans both
+        data = Dataset((100.0,))
+        cfg = BagConfig(replicates=20, center_policy=CenterPolicy.MAP)
+        post = posterior(MODEL, data)
+        bag = bayesbag_exact(MODEL, data, CenterPolicy.MAP)
+        assert bag.mean + 6 * bag.sd < post.mean - 6 * bag.sd
+        grid = evaluation_grid(MODEL, data, center_policy=CenterPolicy.MAP)
+        assert grid[0] == pytest.approx(bag.mean - 6 * bag.sd)
+        assert grid[-1] == pytest.approx(post.mean + 6 * bag.sd)
+        report = make_report(MODEL, data, cfg)
+        np.testing.assert_array_equal(report.grid, grid)
+        assert report.bagged_curve[0] < 1e-8 and report.bagged_curve[-1] == 1.0
+        assert report.grid[0] < report.bagged_interval.lo
+        band = build_band(MODEL, data, cfg)
+        np.testing.assert_array_equal(band.grid, grid)
+        assert band.mean_curve[0] < 1e-8
 
     def test_explicit_bounds(self):
         grid = evaluation_grid(MODEL, DATA_1, spec=GridSpec(5, -1.0, 1.0))
