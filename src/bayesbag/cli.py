@@ -176,8 +176,11 @@ def _resolve(args):
         raise InputError("--m: only --scheme subsample takes a subsample size")
     else:
         scheme = ResampleScheme(kind)
+    center = CenterPolicy(args.center)
+    if center is not CenterPolicy.SAMPLE_MEAN and kind is not SchemeKind.PARAMETRIC_BOOTSTRAP:
+        raise InputError(f"--center: only --scheme parametric takes --center {center.value}")
     _check_count("--B", args.B)
-    cfg = _checked("--B/--seed", BagConfig, args.B, scheme, args.seed, CenterPolicy(args.center))
+    cfg = _checked("--B/--seed", BagConfig, args.B, scheme, args.seed, center)
     grid_spec = _checked("--grid-points", GridSpec, args.grid_points)
     return model, data, cfg, grid_spec
 

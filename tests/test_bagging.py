@@ -1,5 +1,6 @@
 """Tests for exact, quadrature, and Monte Carlo bagged posteriors."""
 
+import collections
 import math
 
 import numpy as np
@@ -279,6 +280,33 @@ class TestBayesbagMc:
             post = posterior(MODEL, resample(scheme, MODEL, data, center, Seed(cfg.seed, b)))
             assert mix.means[b] == post.mean
             assert mix.sds[b] == post.sd
+
+    def test_stream_construction_count_does_not_grow_with_B(self, monkeypatch):
+        # a count, not a timing: the streams are seeded in batches, with no
+        # SeedSequence or Generator built per replicate
+        calls = collections.Counter()
+
+        def counted(name):
+            build = getattr(np.random, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return build(*args, **kwargs)
+
+            monkeypatch.setattr(np.random, name, wrapper)
+
+        counted("SeedSequence")
+        counted("default_rng")
+
+        def count(replicates):
+            calls.clear()
+            for scheme in (
+                ResampleScheme.parametric(), ResampleScheme.nonparametric(), ResampleScheme.subsample()
+            ):
+                bayesbag_mc(MODEL, DATA_10, BagConfig(replicates, scheme, seed=5))
+            return dict(calls)
+
+        assert count(1000) == count(1)
 
     def test_paper_interval_reproduced_at_large_B(self):
         cfg = BagConfig(replicates=10_000, seed=42)

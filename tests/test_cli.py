@@ -434,6 +434,10 @@ class TestInputErrors:
             (["bag", "--synthetic-n", "5", "--synthetic-seed", "-3"], "--synthetic-seed"),
             (["bag", "--synthetic-n", "3", "--scheme", "subsample", "--m", "5"], "--m"),
             (["bag", "--synthetic-n", "10", "--scheme", "nonparametric", "--m", "3"], "--m"),
+            *[
+                (["bag", "--synthetic-n", "10", "--scheme", scheme, "--center", "map"], "--center")
+                for scheme in ("nonparametric", "subsample")
+            ],
             (["table1", "--mc", "--B", "0"], "--B"),
             (["curves", "--synthetic-n", "5", "--B", "1"], "--B"),
             (["bag", "--synthetic-n", "5", "--tau-sq", "1e-320"], "--tau-sq"),
@@ -478,6 +482,7 @@ class TestInputErrors:
         ],
         ids=[
             "seed-negative", "synthetic-seed-negative", "m-above-n", "m-without-subsample",
+            "center-map-nonparametric", "center-map-subsample",
             "table1-mc-B-zero",
             "curves-B-one", "tau-sq-underflow", "sigma-sq-posterior-underflow",
             "input-sum-overflow", "input-1e308-nonparametric", "input-1e308-subsample-m1",

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 from bayesbag import resampling
 from bayesbag import (
@@ -149,11 +150,139 @@ class TestReplicateMeans:
             )
 
     def test_non_finite_replicate_mean_is_value_error(self, monkeypatch):
+        # only parametric draws can be infinite: an index replicate's sum of
+        # finite observations is finite or raises as an overflow
         monkeypatch.setattr(resampling, "_draws", lambda *args: np.array([math.inf, 1.0]))
         with pytest.raises(ValueError, match="non-finite"):
             resampling.replicate_means(
-                ResampleScheme.nonparametric(), MODEL, DATA_10, point_estimate(DATA_10), 1, 3
+                ResampleScheme.parametric(), MODEL, DATA_10, point_estimate(DATA_10), 1, 3
             )
+
+
+# the masters at and around each 32-bit word boundary of SeedSequence's entropy
+STREAM_MASTERS = (0, 5, 2**32 - 1, 2**32, 2**63 + 12345, 2**64 - 1)
+STREAM_INDICES = (range(0, 300), range(2**32 - 3, 2**32 + 4))
+
+
+class TestStreamStates:
+    """The batch seeding reproduces numpy's SeedSequence and PCG64 seeding."""
+
+    @pytest.mark.parametrize("master", STREAM_MASTERS)
+    def test_states_equal_seed_sequence(self, master):
+        for indices in STREAM_INDICES:
+            states = list(resampling._stream_states(master, indices.start, indices.stop))
+            assert len(states) == len(indices)
+            for b, state in zip(indices, states):
+                rng = np.random.default_rng(np.random.SeedSequence((master, b)))
+                assert state == rng.bit_generator.state
+
+    @pytest.mark.parametrize("master", STREAM_MASTERS)
+    def test_reused_generator_draws_equal_fresh_streams(self, master):
+        # the float32 draws come first and leave half a 64-bit word buffered,
+        # which setting the next state must discard
+        def draws(rng):
+            return (
+                rng.random(3, dtype=np.float32),
+                rng.integers(0, 1000, size=7),
+                rng.standard_normal(5),
+                rng.choice(50, size=20, replace=False),
+            )
+
+        bit_generator = np.random.PCG64(0)
+        reused = np.random.Generator(bit_generator)
+        for indices in STREAM_INDICES:
+            for b, state in zip(indices, resampling._stream_states(master, indices.start, indices.stop)):
+                bit_generator.state = state
+                for got, expected in zip(draws(reused), draws(Seed(master, b).rng())):
+                    np.testing.assert_array_equal(got, expected)
+
+
+magnitudes = st.floats(min_value=1e-300, max_value=1e300)
+# spread over the whole range (mostly summed with fsum), or within a few
+# decades of a common scale (mostly summed in limbs)
+observations = st.one_of(
+    st.lists(st.one_of(st.just(0.0), magnitudes, magnitudes.map(lambda x: -x)), min_size=1, max_size=12),
+    st.tuples(
+        st.integers(-980, 980),
+        st.lists(st.one_of(st.just(0.0), st.floats(-1e4, 1e4)), min_size=1, max_size=12),
+    ).map(lambda scaled: [math.ldexp(x, scaled[0]) for x in scaled[1]]),
+)
+NEAR_1E_300 = math.nextafter(1e-300, 0.0)
+
+
+class TestLimbSums:
+    """An index replicate's limb sum equals fsum of its draws, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(draws=observations.flatmap(
+        lambda values: st.tuples(
+            st.just(values),
+            st.lists(st.integers(0, 40), min_size=len(values), max_size=len(values)),
+        )
+    ))
+    @example(draws=([1.5], [3])).via("n = 1")
+    @example(draws=([0.1, 0.1, -0.2, 0.0, 0.1], [2, 1, 1, 5, 0])).via("repeats, zero")
+    @example(draws=([1e300, 1e-300], [1, 1])).via("wide exponent spread")
+    @example(draws=([1e-300, -NEAR_1E_300], [1, 1])).via("subnormal sum")
+    @example(draws=([1e300] * 3, [40, 0, 40])).via("near overflow")
+    def test_limb_sum_equals_fsum(self, draws):
+        values, counts = np.array(draws[0]), np.array(draws[1], dtype=np.int64)
+        size = max(1, int(counts.sum()))
+        table = resampling._limb_table(values, size)
+        if table is None:
+            event("fsum: data")
+            return
+        expected = math.fsum(np.repeat(values, counts).tolist())  # no overflow, per the table
+        got = resampling._limb_sum(*table, counts)
+        event("limbs" if got is not None else "fsum: sum")
+        assert got is None or got == expected
+        assert got is not None or expected == 0.0 or abs(expected) < 2.0**-1022
+
+    @pytest.mark.parametrize(
+        "values, counts",
+        [
+            ([1e300, 1e-300], [1, 1]),  # more than _MAX_LIMBS limbs
+            ([1e308, -1e308], [1, 1]),  # fsum's partials may overflow
+            ([2.0**-1074, 1.0], [1, 1]),  # a subnormal observation widens the spread too
+        ],
+    )
+    def test_fsum_fallback_for_data(self, values, counts):
+        assert resampling._limb_table(np.array(values), sum(counts)) is None
+
+    @pytest.mark.parametrize(
+        "values, counts",
+        [
+            ([1e-300, -NEAR_1E_300], [1, 1]),  # the sum is 2**-1049, subnormal
+            ([0.25, -0.25, 3.0], [2, 2, 0]),  # the sum is 0
+        ],
+    )
+    def test_fsum_fallback_for_sums(self, values, counts):
+        table = resampling._limb_table(np.array(values), sum(counts))
+        assert table is not None
+        assert resampling._limb_sum(*table, np.array(counts)) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=observations,
+        scheme=st.sampled_from([ResampleScheme.nonparametric(), ResampleScheme.subsample()]),
+    )
+    @example(values=[1e300, 1e-300, -1e300], scheme=ResampleScheme.nonparametric())
+    @example(values=[1e-300, -NEAR_1E_300], scheme=ResampleScheme.nonparametric())
+    @example(values=[1e308, -1e308], scheme=ResampleScheme.nonparametric())
+    # fsum overflows on the way to a finite sum of 1e308
+    @example(values=[1e308, -1e308, 1e308], scheme=ResampleScheme.nonparametric())
+    def test_replicate_means_equal_resample_path(self, values, scheme):
+        data = Dataset(tuple(values))
+        center = point_estimate(data)
+        try:
+            expected = [resample(scheme, MODEL, data, center, Seed(3, b)).mean for b in range(8)]
+        except ValueError:  # a replicate's sum overflows
+            with pytest.raises(ValueError, match="overflows"):
+                resampling.replicate_means(scheme, MODEL, data, center, 3, 8)
+            return
+        _, means = resampling.replicate_means(scheme, MODEL, data, center, 3, 8)
+        assert means.tolist() == expected
+        assert [math.copysign(1.0, m) for m in means] == [math.copysign(1.0, m) for m in expected]
 
 
 B_DIST = 10_000
