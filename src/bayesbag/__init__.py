@@ -2,8 +2,8 @@
 
 Stabilizes a posterior against data perturbation by averaging posterior CDFs
 computed on bootstrap- or subsampled datasets, with an exact closed form for
-the parametric-bootstrap Gaussian case and general mixture-CDF machinery for
-everything else.
+the parametric bootstrap and a Monte Carlo mixture of the normal replicate
+posteriors for every scheme.
 
 The public names are those listed in each module's ``__all__``.
 """

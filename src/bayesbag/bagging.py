@@ -122,35 +122,23 @@ class QuantilePair:
 
 
 class MixtureCdf:
-    """Equal-weight mixture of component CDFs.
+    """Equal-weight mixture of normal CDFs, each with a positive variance.
 
-    Components are either :class:`NormalDist` instances or callables mapping
-    a scalar to a CDF value, so posteriors from arbitrary models can be
-    bagged through the same machinery.  Every normal component has a
-    positive variance, as a :class:`NormalDist` does.
-
-    The normal components are held as read-only arrays ``means``,
-    ``variances`` and ``sds`` (``sqrt(variances)``, so ``sds[b]`` equals
-    ``NormalDist.sd`` of component ``b``), empty when there are none; the
-    callables are held in the ``callables`` tuple.  :meth:`normal` builds an
-    all-normal mixture from those arrays directly.  ``components`` lists the
-    normals first, then the callables.
+    Component ``b`` is held in the read-only arrays ``means``, ``variances``
+    and ``sds`` (``sqrt(variances)``, so ``sds[b]`` equals its
+    ``NormalDist.sd``); :meth:`normal` builds a mixture from such arrays.
     """
 
     def __init__(self, components):
         components = tuple(components)
-        for comp in components:
-            if not isinstance(comp, NormalDist) and not callable(comp):
-                raise TypeError("components must be NormalDist or callable CDFs")
-        normals = [c for c in components if isinstance(c, NormalDist)]
-        self.callables = tuple(c for c in components if not isinstance(c, NormalDist))
-        self._set_arrays([c.mean for c in normals], [c.variance for c in normals])
+        if not all(isinstance(comp, NormalDist) for comp in components):
+            raise TypeError("components must be NormalDist instances")
+        self._set_arrays([c.mean for c in components], [c.variance for c in components])
 
     @classmethod
     def normal(cls, means, variances) -> "MixtureCdf":
-        """All-normal mixture whose component ``b`` is N(means[b], variances[b])."""
+        """Mixture whose component ``b`` is N(means[b], variances[b])."""
         mix = cls.__new__(cls)
-        mix.callables = ()
         mix._set_arrays(means, variances)
         return mix
 
@@ -159,7 +147,7 @@ class MixtureCdf:
         variances = np.array(variances, dtype=float)
         if means.ndim != 1 or means.shape != variances.shape:
             raise ValueError("means and variances must be 1-d arrays of one length")
-        if means.size + len(self.callables) == 0:
+        if means.size == 0:
             raise ValueError("mixture needs at least one component")
         if not np.isfinite(means).all():
             raise ValueError("mean must be finite")
@@ -172,20 +160,15 @@ class MixtureCdf:
 
     @property
     def components(self) -> tuple:
-        normals = zip(self.means.tolist(), self.variances.tolist())
-        return tuple(NormalDist(m, v) for m, v in normals) + self.callables
+        return tuple(map(NormalDist, self.means.tolist(), self.variances.tolist()))
 
     def __len__(self) -> int:
-        return self.means.shape[0] + len(self.callables)
+        return self.means.shape[0]
 
 
 def _component_values(mix: MixtureCdf, grid: np.ndarray) -> np.ndarray:
     """CDF value of every component at every grid point, shape (B, len(grid))."""
-    values = _normal_cdf(grid[None, :], mix.means[:, None], mix.sds[:, None])
-    if not mix.callables:
-        return values
-    rows = [[float(comp(float(u))) for u in grid] for comp in mix.callables]
-    return np.vstack([values, np.array(rows)])
+    return _normal_cdf(grid[None, :], mix.means[:, None], mix.sds[:, None])
 
 
 def _mixture_mean(values: np.ndarray) -> np.ndarray:
@@ -193,10 +176,9 @@ def _mixture_mean(values: np.ndarray) -> np.ndarray:
     # its component values in the same pairwise order regardless of grid
     # size; scalar evaluation then matches grid evaluation bit for bit.
     # The exact mean lies between the smallest and largest component value,
-    # so clamping to them (and to [0, 1], for callables) only removes rounding.
+    # so clamping to them only removes rounding.
     columns = np.ascontiguousarray(values.T)
-    mean = np.clip(columns.mean(axis=1), columns.min(axis=1), columns.max(axis=1))
-    return np.clip(mean, 0.0, 1.0)
+    return np.clip(columns.mean(axis=1), columns.min(axis=1), columns.max(axis=1))
 
 
 def mixture_cdf_eval(mix: MixtureCdf, u: float) -> float:
@@ -207,55 +189,27 @@ def mixture_cdf_eval(mix: MixtureCdf, u: float) -> float:
     return float(_mixture_mean(_component_values(mix, np.array([u])))[0])
 
 
-def _bracket(mix: MixtureCdf, p: float) -> tuple[float, float]:
-    points = _normal_quantile(p, mix.means, mix.sds)
-    if points.size:
-        lo, hi = float(points.min()), float(points.max())
-        if lo == hi and not mix.callables:
-            return lo, hi  # every component's p-quantile, so the mixture's
-    else:
-        lo, hi = -1.0, 1.0
-    if lo == hi:
-        lo, hi = lo - 1.0, hi + 1.0
-    # Component quantiles bracket the mixture quantile for all-normal
-    # mixtures; generic callables may need the bracket widened.
-    span = hi - lo
-    for _ in range(_QUANTILE_MAX_ITER):
-        if mixture_cdf_eval(mix, lo) <= p:
-            break
-        lo -= span
-        span *= 2.0
-    else:
-        raise RuntimeError("could not bracket mixture quantile from below")
-    span = hi - lo
-    for _ in range(_QUANTILE_MAX_ITER):
-        if mixture_cdf_eval(mix, hi) >= p:
-            break
-        hi += span
-        span *= 2.0
-    else:
-        raise RuntimeError("could not bracket mixture quantile from above")
-    return lo, hi
-
-
 def mixture_quantile(mix: MixtureCdf, p: float) -> float:
     """Invert the mixture CDF by bisection.
 
-    The mixture CDF is monotone but has no closed-form inverse; bisection on
-    a bracket built from component quantiles converges to a point whose CDF
-    value is within 1e-9 of ``p``.  When every component of an all-normal
-    mixture has the same float as its p-quantile, that float is returned
-    without bisection, so B identical replicates give the quantile of their
-    common normal bit for bit.  Bisection also stops when the bracket is
-    narrower than 1e-14 of its larger end, or holds no float between its
-    ends, so the result does not depend on the data's scale.
+    The mixture CDF is monotone but has no closed-form inverse.  At the
+    smallest component p-quantile it is at most ``p``, and at the largest at
+    least ``p`` (up to about 1e-16 of rounding, far below the 1e-12 at which
+    bisection stops), so bisection between them converges to a point whose
+    CDF value is within 1e-9 of ``p``.  When every component has the same
+    float as its p-quantile, that float is returned without bisection, so B
+    identical replicates give the quantile of their common normal bit for
+    bit.  Bisection also stops when the bracket is narrower than 1e-14 of
+    its larger end, or holds no float between its ends, so the result does
+    not depend on the data's scale.
     """
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError("probability out of range")
-    lo, hi = _bracket(mix, p)
+    points = _normal_quantile(p, mix.means, mix.sds)
+    lo, hi = float(points.min()), float(points.max())
     if lo == hi:
-        return lo
+        return lo  # every component's p-quantile, so the mixture's
     mid = 0.5 * lo + 0.5 * hi
     for _ in range(_QUANTILE_MAX_ITER):
         mid = 0.5 * lo + 0.5 * hi

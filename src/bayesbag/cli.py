@@ -286,6 +286,8 @@ def cmd_bag(args) -> int:
 
     pct = _percent(args.level)
     print(f"n = {data.n}, sample mean = {_FULL(data.mean)}")
+    unused = " (--B and --seed not used)" if report.method == "exact" else ""
+    print(f"method: {report.method}{unused}")
     print(f"posterior {pct}% interval: [{_FULL(post_iv.lo)}, {_FULL(post_iv.hi)}]")
     print(f"bayesbag  {pct}% interval: [{_FULL(bag_iv.lo)}, {_FULL(bag_iv.hi)}]")
     print(f"widening ratio: {_FULL(report.widening_ratio)}")

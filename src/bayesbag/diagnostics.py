@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 
@@ -40,24 +39,15 @@ _CURVE_CHUNK_CELLS = 2**18
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Evaluation grid: explicit [lo, hi] or a default span derived from the bag."""
+    """Number of points of the evaluation grid; :func:`evaluation_grid` derives its span."""
 
     points: int = DEFAULT_GRID_POINTS
-    lo: float | None = None
-    hi: float | None = None
 
     def __post_init__(self):
         points = operator.index(self.points)
         if points < 2:
             raise ValueError("grid needs at least 2 points")
         object.__setattr__(self, "points", points)
-        if (self.lo is None) != (self.hi is None):
-            raise ValueError("grid bounds must be given together")
-        if self.lo is not None:
-            if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-                raise ValueError("grid bounds must be finite")
-            if not self.lo < self.hi:
-                raise ValueError("grid lower bound must be below upper bound")
 
 
 def evaluation_grid(
@@ -66,7 +56,7 @@ def evaluation_grid(
     spec: GridSpec | None = None,
     center_policy: CenterPolicy = CenterPolicy.SAMPLE_MEAN,
 ) -> np.ndarray:
-    """Equally spaced grid; defaults to 6 bagged sd beyond the posterior and bagged means.
+    """Equally spaced grid reaching 6 bagged sd beyond the posterior and bagged means.
 
     The bagged mean is that of :func:`bayesbag_exact` under
     ``center_policy``.  Under sample-mean centering it equals the posterior
@@ -77,8 +67,6 @@ def evaluation_grid(
     """
     if spec is None:
         spec = GridSpec()
-    if spec.lo is not None:
-        return np.linspace(spec.lo, spec.hi, spec.points)
     post_mean = posterior(model, data).mean
     bag = bayesbag_exact(model, data, center_policy)
     span = 6.0 * bag.sd
@@ -124,6 +112,7 @@ class BagReport:
     widening_ratio: float
     ks_distance: float
     degenerate_resampling_flag: bool
+    method: str  # "exact" or "mc(B=...)", as bagged_cdf_curves decided
     grid: np.ndarray
     posterior_curve: np.ndarray
     bagged_curve: np.ndarray
@@ -189,23 +178,26 @@ def bagged_cdf_curves(
 ):
     """Raw posterior and bagged CDF curves on a shared grid.
 
-    The parametric scheme takes the closed form, every other scheme Monte
-    Carlo.  Returns ``(grid, posterior_curve, bagged_curve,
-    bagged_interval, degenerate_flag)``; the interval comes from the same
-    object that produced the curve.
+    The parametric scheme takes the closed form (method ``"exact"``), which
+    uses neither ``cfg.replicates`` nor ``cfg.seed``; every other scheme
+    takes Monte Carlo (method ``"mc(B=...)"``).  Returns ``(grid,
+    posterior_curve, bagged_curve, bagged_interval, degenerate_flag,
+    method)``; the interval comes from the same object that produced the
+    curve.
     """
     grid = evaluation_grid(model, data, grid_spec, cfg.center_policy)
     post_curve = _normal_curve(posterior(model, data), grid)
     if cfg.scheme.kind is SchemeKind.PARAMETRIC_BOOTSTRAP:
         bag = bayesbag_exact(model, data, cfg.center_policy)
         interval = credible_interval(bag, level)
-        return grid, post_curve, _normal_curve(bag, grid), interval, False
+        return grid, post_curve, _normal_curve(bag, grid), interval, False, "exact"
 
     mix = bayesbag_mc(model, data, cfg)
     # identical replicate means: bayesbag_mc gives every replicate one variance
     degenerate = bool(np.all(mix.means == mix.means[0]))
     bag_curve = _mixture_curve(mix, grid)
-    return grid, post_curve, bag_curve, credible_interval(mix, level), degenerate
+    interval = credible_interval(mix, level)
+    return grid, post_curve, bag_curve, interval, degenerate, f"mc(B={cfg.replicates})"
 
 
 def make_report(
@@ -221,7 +213,7 @@ def make_report(
     CDFs evaluated on the grid (grid-approximate, not the exact sup over R).
     The report keeps the grid and both curves of :func:`bagged_cdf_curves`.
     """
-    grid, post_curve, bag_curve, bagged_interval, degenerate = bagged_cdf_curves(
+    grid, post_curve, bag_curve, bagged_interval, degenerate, method = bagged_cdf_curves(
         model, data, cfg, grid_spec, level
     )
     posterior_interval = credible_interval(posterior(model, data), level)
@@ -231,6 +223,7 @@ def make_report(
         widening_ratio=bagged_interval.width / posterior_interval.width,
         ks_distance=float(np.max(np.abs(post_curve - bag_curve))),
         degenerate_resampling_flag=degenerate,
+        method=method,
         grid=grid,
         posterior_curve=post_curve,
         bagged_curve=bag_curve,

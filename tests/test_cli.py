@@ -222,7 +222,9 @@ class TestBag:
             "--out", str(tmp_path),
         ])
         assert rc == 0
-        assert "degenerate" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "degenerate" in out
+        assert "method: mc(B=1000)\n" in out.splitlines(keepends=True)
         (row,) = read_rows(tmp_path / "report.csv")
         assert row["degenerate_resampling"] == "1"
         assert float(row["widening_ratio"]) == 1.0
@@ -253,7 +255,9 @@ class TestBag:
         # six significant digits would print 1 and "100% interval"
         rc = main(["bag", "--synthetic-n", "5", "--level", "0.9999999", "--out", str(tmp_path)])
         assert rc == 0
-        assert "posterior 99.99999% interval" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "posterior 99.99999% interval" in out
+        assert "method: exact (--B and --seed not used)\n" in out.splitlines(keepends=True)
         (row,) = read_rows(tmp_path / "report.csv")
         assert float(row["level"]) == 0.9999999
 

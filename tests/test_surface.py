@@ -1,6 +1,8 @@
 """The public surface: exported names, the CLI's vocabulary and defaults, integer fields."""
 
 import argparse
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,3 +89,37 @@ def test_integer_fields_take_numpy_integers_as_ints():
     ]
     assert fields == [50, 42, 3, 2, 2**64 - 1, 3]
     assert all(type(value) is int for value in fields)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but neither uses nor lists in its ``__all__``."""
+    tree = ast.parse(source)
+    imported = set()
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.add(alias.asname or alias.name.partition(".")[0])
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ) and isinstance(node.value, (ast.List, ast.Tuple)):
+            exported |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used - exported)
+
+
+def test_unused_import_guard_sees_an_unused_import():
+    source = (Path(bayesbag.__file__).parent / "diagnostics.py").read_text(encoding="utf-8")
+    assert unused_imports(source.replace("import operator\n", "import math\nimport operator\n")) == ["math"]
+    assert unused_imports("from .a import b as c\n__all__ = ['c']\n") == []
+
+
+@pytest.mark.parametrize(
+    "module", sorted(Path(bayesbag.__file__).parent.glob("*.py")), ids=lambda path: path.name
+)
+def test_every_import_is_used(module):
+    assert unused_imports(module.read_text(encoding="utf-8")) == []
