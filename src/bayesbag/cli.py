@@ -126,7 +126,7 @@ def _checked(flag: str, build, *args, **kwargs):
 
 
 def _resolve(args):
-    """(model, dataset, bag config, grid spec) of a bag/curves invocation.
+    """(model, dataset, bag config) of a bag/curves invocation.
 
     The domain types, and ``credible_interval`` for the level, validate
     their own values; this maps each rejection to the flag that supplied
@@ -143,13 +143,18 @@ def _resolve(args):
         raise InputError("give exactly one of --input or --synthetic-n")
     model = _checked("--tau-sq/--sigma-sq", GaussianLocationModel, args.tau_sq, args.sigma_sq)
     if args.input is not None:
+        for flag, value in (("--synthetic-seed", args.synthetic_seed),
+                            ("--synthetic-theta", args.synthetic_theta)):
+            if value is not None:
+                raise InputError(f"{flag}: only --synthetic-n generates data")
         data = _checked("--input", read_observations, args.input)
     else:
         _check_count("--synthetic-n", args.synthetic_n)
-        master = _checked("--synthetic-seed", _derived_master, args.synthetic_seed, 0)
+        seed = DEFAULT_SEED if args.synthetic_seed is None else args.synthetic_seed
+        theta = 0.0 if args.synthetic_theta is None else args.synthetic_theta
+        master = _checked("--synthetic-seed", _derived_master, seed, 0)
         data = _checked(
-            "--synthetic-theta", synthetic_dataset,
-            args.synthetic_n, args.synthetic_theta, model.sigma_sq, master,
+            "--synthetic-theta", synthetic_dataset, args.synthetic_n, theta, model.sigma_sq, master
         )
     post = _checked("--tau-sq/--sigma-sq", posterior, model, data)
     scale = max(max(map(abs, data.observations)), abs(post.mean))
@@ -169,20 +174,14 @@ def _resolve(args):
             f"magnitude {scale:.3g}, so the interval cannot be resolved"
         )
     kind = SchemeKind(args.scheme)
+    scheme = _checked("--m", ResampleScheme, kind, args.m)
     if kind is SchemeKind.SUBSAMPLE:
-        scheme = _checked("--m", ResampleScheme.subsample, args.m)
         _checked("--m", scheme.subsample_size_for, data.n)
-    elif args.m is not None:
-        raise InputError("--m: only --scheme subsample takes a subsample size")
-    else:
-        scheme = ResampleScheme(kind)
     center = CenterPolicy(args.center)
     if center is not CenterPolicy.SAMPLE_MEAN and kind is not SchemeKind.PARAMETRIC_BOOTSTRAP:
         raise InputError(f"--center: only --scheme parametric takes --center {center.value}")
     _check_count("--B", args.B)
-    cfg = _checked("--B/--seed", BagConfig, args.B, scheme, args.seed, center)
-    grid_spec = _checked("--grid-points", GridSpec, args.grid_points)
-    return model, data, cfg, grid_spec
+    return model, data, _checked("--B/--seed", BagConfig, args.B, scheme, args.seed, center)
 
 
 def _percent(level: float) -> str:
@@ -233,13 +232,11 @@ def cmd_table1(args) -> int:
             data = Dataset((REFERENCE_SAMPLE_MEANS[n],) * n)
         post_iv = credible_interval(posterior(model, data), DEFAULT_LEVEL)
         if args.mc:
-            mix = bayesbag_mc(model, data, replace(cfg, seed=_derived_master(args.seed, 100 + tag)))
-            bag_iv = credible_interval(mix, DEFAULT_LEVEL)
+            bag = bayesbag_mc(model, data, replace(cfg, seed=_derived_master(args.seed, 100 + tag)))
             method = f"mc(B={args.B})"
         else:
-            bag_iv = credible_interval(bayesbag_exact(model, data), DEFAULT_LEVEL)
-            method = "exact"
-        rows.append((n, post_iv, bag_iv, method))
+            bag, method = bayesbag_exact(model, data), "exact"
+        rows.append((n, post_iv, credible_interval(bag, DEFAULT_LEVEL), method))
 
     print(f"{_percent(DEFAULT_LEVEL)}% credible intervals (tau_sq={DEFAULT_TAU_SQ}, sigma_sq={DEFAULT_SIGMA_SQ})")
     print(f"{'n':>6}  {'posterior':>16}  {'bayesbag':>16}  method")
@@ -280,8 +277,8 @@ def cmd_table1(args) -> int:
 
 def cmd_bag(args) -> int:
     """Full pipeline on user data: report plus raw/bagged CDF curves."""
-    model, data, cfg, grid_spec = _resolve(args)
-    report = make_report(model, data, cfg, grid_spec, args.level)
+    model, data, cfg = _resolve(args)
+    report = make_report(model, data, cfg, args.level)
     post_iv, bag_iv = report.posterior_interval, report.bagged_interval
 
     pct = _percent(args.level)
@@ -327,7 +324,8 @@ def cmd_bag(args) -> int:
 
 def cmd_curves(args) -> int:
     """Long-format CSV of every replicate CDF plus mean and posterior curves."""
-    model, data, cfg, grid_spec = _resolve(args)
+    model, data, cfg = _resolve(args)
+    grid_spec = _checked("--grid-points", GridSpec, args.grid_points)
     if cfg.replicates < 2:
         raise InputError("--B: a band needs at least 2 replicates")
     _check_count("--B/--grid-points", cfg.replicates * grid_spec.points)
@@ -355,8 +353,8 @@ def _add_common_flags(sub) -> None:
     defaults = BagConfig()
     sub.add_argument("--input", type=Path, default=None, help="CSV/text file, one observation per line")
     sub.add_argument("--synthetic-n", type=int, default=None, help="generate n observations instead of reading a file")
-    sub.add_argument("--synthetic-theta", type=float, default=0.0, help="true location for generated data (default 0)")
-    sub.add_argument("--synthetic-seed", type=int, default=DEFAULT_SEED, help="seed for generated data (default = fixed default seed)")
+    sub.add_argument("--synthetic-theta", type=float, default=None, help="true location for generated data (default 0)")
+    sub.add_argument("--synthetic-seed", type=int, default=None, help="seed for generated data (default = fixed default seed)")
     sub.add_argument("--tau-sq", type=float, default=DEFAULT_TAU_SQ, help="prior variance")
     sub.add_argument("--sigma-sq", type=float, default=DEFAULT_SIGMA_SQ, help="known noise variance")
     sub.add_argument("--scheme", choices=[k.value for k in SchemeKind], default=defaults.scheme.kind.value)
@@ -387,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bag = subparsers.add_parser("bag", help="bagging report for a dataset")
     _add_common_flags(bag)
-    bag.set_defaults(func=cmd_bag, grid_points=DEFAULT_GRID_POINTS)
+    bag.set_defaults(func=cmd_bag)
 
     curves = subparsers.add_parser("curves", help="export replicate CDF curves")
     _add_common_flags(curves)

@@ -11,6 +11,7 @@ from .bagging import (
     DEFAULT_LEVEL,
     BagConfig,
     CenterPolicy,
+    MixtureCdf,
     QuantilePair,
     _component_values,
     _mixture_mean,
@@ -150,8 +151,8 @@ def build_band(
 
 
 def _normal_curve(dist: NormalDist, grid: np.ndarray) -> np.ndarray:
-    # every single-normal curve of this layer passes here, so a tracer that
-    # wraps this function and _component_values counts all evaluated cells
+    # the posterior curve passes here and every bagged one through
+    # _component_values, so a tracer wrapping both counts all evaluated cells
     return _normal_cdf(grid, dist.mean, dist.sd)
 
 
@@ -173,38 +174,33 @@ def bagged_cdf_curves(
     model: GaussianLocationModel,
     data: Dataset,
     cfg: BagConfig,
-    grid_spec: GridSpec | None = None,
     level: float = DEFAULT_LEVEL,
 ):
-    """Raw posterior and bagged CDF curves on a shared grid.
+    """Raw posterior and bagged CDF curves on the default grid.
 
     The parametric scheme takes the closed form (method ``"exact"``), which
-    uses neither ``cfg.replicates`` nor ``cfg.seed``; every other scheme
-    takes Monte Carlo (method ``"mc(B=...)"``).  Returns ``(grid,
-    posterior_curve, bagged_curve, bagged_interval, degenerate_flag,
-    method)``; the interval comes from the same object that produced the
-    curve.
+    uses neither ``cfg.replicates`` nor ``cfg.seed``, as a one-component
+    mixture; every other scheme takes Monte Carlo (method ``"mc(B=...)"``).
+    The curve and interval of either come from one mixture; those of one
+    component are its own bit for bit.  Returns ``(grid, posterior_curve,
+    bagged_curve, bagged_interval, degenerate_flag, method)``; the flag
+    marks two or more components, all with one mean.
     """
-    grid = evaluation_grid(model, data, grid_spec, cfg.center_policy)
+    grid = evaluation_grid(model, data, center_policy=cfg.center_policy)
     post_curve = _normal_curve(posterior(model, data), grid)
     if cfg.scheme.kind is SchemeKind.PARAMETRIC_BOOTSTRAP:
-        bag = bayesbag_exact(model, data, cfg.center_policy)
-        interval = credible_interval(bag, level)
-        return grid, post_curve, _normal_curve(bag, grid), interval, False, "exact"
-
-    mix = bayesbag_mc(model, data, cfg)
-    # identical replicate means: bayesbag_mc gives every replicate one variance
-    degenerate = bool(np.all(mix.means == mix.means[0]))
-    bag_curve = _mixture_curve(mix, grid)
+        mix, method = MixtureCdf((bayesbag_exact(model, data, cfg.center_policy),)), "exact"
+    else:
+        mix, method = bayesbag_mc(model, data, cfg), f"mc(B={cfg.replicates})"
+    degenerate = len(mix) > 1 and bool(np.all(mix.means == mix.means[0]))
     interval = credible_interval(mix, level)
-    return grid, post_curve, bag_curve, interval, degenerate, f"mc(B={cfg.replicates})"
+    return grid, post_curve, _mixture_curve(mix, grid), interval, degenerate, method
 
 
 def make_report(
     model: GaussianLocationModel,
     data: Dataset,
     cfg: BagConfig,
-    grid_spec: GridSpec | None = None,
     level: float = DEFAULT_LEVEL,
 ) -> BagReport:
     """Assemble the interval comparison and grid-based diagnostics.
@@ -214,7 +210,7 @@ def make_report(
     The report keeps the grid and both curves of :func:`bagged_cdf_curves`.
     """
     grid, post_curve, bag_curve, bagged_interval, degenerate, method = bagged_cdf_curves(
-        model, data, cfg, grid_spec, level
+        model, data, cfg, level
     )
     posterior_interval = credible_interval(posterior(model, data), level)
     return BagReport(

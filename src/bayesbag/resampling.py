@@ -56,8 +56,8 @@ class SchemeKind(Enum):
 class ResampleScheme:
     """Dataset perturbation policy.
 
-    ``subsample_size`` applies to the subsample scheme only; ``None`` means
-    the default ceil(n/2) resolved against the data when resampling.
+    ``subsample_size`` is for the subsample scheme only (others refuse it);
+    ``None`` means the default ceil(n/2) resolved against the data.
     """
 
     kind: SchemeKind
@@ -65,6 +65,8 @@ class ResampleScheme:
 
     def __post_init__(self):
         if self.subsample_size is not None:
+            if self.kind is not SchemeKind.SUBSAMPLE:
+                raise ValueError("only the subsample scheme takes a subsample size")
             size = operator.index(self.subsample_size)
             if size < 1:
                 raise ValueError("subsample_size must be at least 1")

@@ -170,10 +170,8 @@ class TestBag:
         rows = read_rows(tmp_path / "cdf.csv")
         assert len(rows) == 401
         bag = bayesbag_exact(MODEL, Dataset((1.325,)))
-        mid = rows[200]
-        assert float(mid["F_bayesbag"]) == pytest.approx(
-            normal_cdf(float(mid["u"]), bag), abs=1e-12
-        )
+        for row in rows:
+            assert float(row["F_bayesbag"]) == normal_cdf(float(row["u"]), bag)
 
     def test_byte_order_mark_keeps_first_observation(self, tmp_path):
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
@@ -214,20 +212,27 @@ class TestBag:
         )
         assert main(["bag", "--out", str(tmp_path)]) == 2
 
-    def test_nonparametric_degenerate_warning(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "lines, replicates, degenerate",
+        [(["1.325"], 1000, True), (["1.0", "2.0", "3.5"], 1, False)],
+        # one replicate has no spread to lack, so it is not flagged
+        ids=["one-observation", "one-replicate"],
+    )
+    def test_nonparametric_degenerate_warning(self, tmp_path, capsys, lines, replicates, degenerate):
         data_file = tmp_path / "obs.csv"
-        write_lines(data_file, ["1.325"])
+        write_lines(data_file, lines)
         rc = main([
             "bag", "--input", str(data_file), "--scheme", "nonparametric",
-            "--out", str(tmp_path),
+            "--B", str(replicates), "--out", str(tmp_path),
         ])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "degenerate" in out
-        assert "method: mc(B=1000)\n" in out.splitlines(keepends=True)
+        assert ("degenerate" in out) is degenerate
+        assert f"method: mc(B={replicates})\n" in out.splitlines(keepends=True)
         (row,) = read_rows(tmp_path / "report.csv")
-        assert row["degenerate_resampling"] == "1"
-        assert float(row["widening_ratio"]) == 1.0
+        assert row["degenerate_resampling"] == str(int(degenerate))
+        if degenerate:
+            assert float(row["widening_ratio"]) == 1.0
 
     def test_synthetic_roundtrip_through_file(self, tmp_path):
         gen_dir = tmp_path / "gen"
@@ -447,6 +452,8 @@ class TestInputErrors:
             (["bag", "--synthetic-n", "5", "--tau-sq", "1e-320"], "--tau-sq"),
             (["bag", "--synthetic-n", "3", "--sigma-sq", "1e-308"], "--sigma-sq"),
             (["bag", "--input", "OVERFLOWING_FILE"], "--input"),
+            (["bag", "--input", "ONE_VALUE_FILE", "--synthetic-seed", "7"], "--synthetic-seed"),
+            (["bag", "--input", "ONE_VALUE_FILE", "--synthetic-theta", "3"], "--synthetic-theta"),
             # the posterior sd is below the float spacing at the data's magnitude
             (["bag", "--input", "FILE_1E308", "--scheme", "nonparametric"], "--input"),
             (["bag", "--input", "FILE_1E308", "--scheme", "subsample", "--m", "1"], "--input"),
@@ -489,7 +496,8 @@ class TestInputErrors:
             "center-map-nonparametric", "center-map-subsample",
             "table1-mc-B-zero",
             "curves-B-one", "tau-sq-underflow", "sigma-sq-posterior-underflow",
-            "input-sum-overflow", "input-1e308-nonparametric", "input-1e308-subsample-m1",
+            "input-sum-overflow", "input-with-synthetic-seed", "input-with-synthetic-theta",
+            "input-1e308-nonparametric", "input-1e308-subsample-m1",
             "input-8e307-nonparametric", "input-8e307-subsample-m1",
             "theta-5-sigma-sq-1e-300-parametric", "theta-5-sigma-sq-1e-300-nonparametric",
             "theta-5-sigma-sq-1e-300-subsample", "theta-1-sigma-sq-1e-40-nonparametric",
@@ -507,6 +515,7 @@ class TestInputErrors:
             "OVERFLOWING_FILE": ["1e308", "1e308"],  # the sum overflows
             "FILE_1E308": ["1e308", "-1e308"],
             "FILE_8E307": ["8e307", "-8e307"],
+            "ONE_VALUE_FILE": ["1.0"],
         }
         for name, lines in files.items():
             write_lines(tmp_path / f"{name}.csv", lines)

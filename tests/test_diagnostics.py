@@ -181,7 +181,7 @@ class TestChunkedBagCurve:
         cfg = BagConfig(10_000, ResampleScheme.nonparametric(), seed=8)
         tracemalloc.start()
         try:
-            curves = bagged_cdf_curves(MODEL, data, cfg, GridSpec(401))
+            curves = bagged_cdf_curves(MODEL, data, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -12,6 +12,7 @@ from bayesbag import (
     GaussianLocationModel,
     PointEstimate,
     ResampleScheme,
+    SchemeKind,
     Seed,
     bootstrap_mean_law,
     map_point_estimate,
@@ -345,4 +346,6 @@ class TestBootstrapMeanLaw:
 def test_scheme_validation():
     with pytest.raises(ValueError):
         ResampleScheme.subsample(0)
+    with pytest.raises(ValueError, match="only the subsample scheme"):
+        ResampleScheme(SchemeKind.NONPARAMETRIC_BOOTSTRAP, 5)
     assert ResampleScheme.subsample().subsample_size is None

@@ -119,7 +119,9 @@ def test_unused_import_guard_sees_an_unused_import():
 
 
 @pytest.mark.parametrize(
-    "module", sorted(Path(bayesbag.__file__).parent.glob("*.py")), ids=lambda path: path.name
+    "module",
+    sorted(Path(bayesbag.__file__).parent.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py")),
+    ids=lambda path: path.name,
 )
 def test_every_import_is_used(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
