@@ -36,6 +36,7 @@ from .model import (
 from .resampling import (
     PointEstimate,
     ResampleScheme,
+    SchemeKind,
     Seed,
     _bootstrap_mean_moments,
     map_point_estimate,
@@ -84,7 +85,7 @@ class CenterPolicy(Enum):
 
 @dataclass(frozen=True)
 class BagConfig:
-    """Replicate count, resampling scheme, master seed, and centering."""
+    """Replicate count, resampling scheme, master seed, and centering (MAP: parametric only)."""
 
     replicates: int = DEFAULT_REPLICATES
     scheme: ResampleScheme = field(default_factory=ResampleScheme.parametric)
@@ -97,6 +98,9 @@ class BagConfig:
             raise ValueError("replicates must be at least 1")
         object.__setattr__(self, "replicates", replicates)
         object.__setattr__(self, "seed", Seed(self.seed).master)  # Seed range-checks it
+        parametric = self.scheme.kind is SchemeKind.PARAMETRIC_BOOTSTRAP
+        if self.center_policy is CenterPolicy.MAP and not parametric:
+            raise ValueError("only the parametric scheme takes the MAP center")
 
 
 @dataclass(frozen=True)
@@ -124,25 +128,12 @@ class QuantilePair:
 class MixtureCdf:
     """Equal-weight mixture of normal CDFs, each with a positive variance.
 
-    Component ``b`` is held in the read-only arrays ``means``, ``variances``
-    and ``sds`` (``sqrt(variances)``, so ``sds[b]`` equals its
-    ``NormalDist.sd``); :meth:`normal` builds a mixture from such arrays.
+    Component ``b`` is N(means[b], variances[b]), held in the read-only
+    arrays ``means``, ``variances`` and ``sds`` (``sqrt(variances)``); the
+    ``components`` view gives each as a ``NormalDist``.
     """
 
-    def __init__(self, components):
-        components = tuple(components)
-        if not all(isinstance(comp, NormalDist) for comp in components):
-            raise TypeError("components must be NormalDist instances")
-        self._set_arrays([c.mean for c in components], [c.variance for c in components])
-
-    @classmethod
-    def normal(cls, means, variances) -> "MixtureCdf":
-        """Mixture whose component ``b`` is N(means[b], variances[b])."""
-        mix = cls.__new__(cls)
-        mix._set_arrays(means, variances)
-        return mix
-
-    def _set_arrays(self, means, variances):
+    def __init__(self, means, variances):
         means = np.array(means, dtype=float)
         variances = np.array(variances, dtype=float)
         if means.ndim != 1 or means.shape != variances.shape:
@@ -210,7 +201,6 @@ def mixture_quantile(mix: MixtureCdf, p: float) -> float:
     lo, hi = float(points.min()), float(points.max())
     if lo == hi:
         return lo  # every component's p-quantile, so the mixture's
-    mid = 0.5 * lo + 0.5 * hi
     for _ in range(_QUANTILE_MAX_ITER):
         mid = 0.5 * lo + 0.5 * hi
         if mid == lo or mid == hi:
@@ -279,7 +269,7 @@ def bayesbag_mc(
     center = _resolve_center(model, data, cfg.center_policy)
     size, means = replicate_means(cfg.scheme, model, data, center, cfg.seed, cfg.replicates)
     post_means, variance = _posterior_moments(model, size, means)
-    return MixtureCdf.normal(post_means, np.full(cfg.replicates, variance))
+    return MixtureCdf(post_means, np.full(cfg.replicates, variance))
 
 
 def bayesbag_exact(

@@ -177,11 +177,9 @@ def _resolve(args):
     scheme = _checked("--m", ResampleScheme, kind, args.m)
     if kind is SchemeKind.SUBSAMPLE:
         _checked("--m", scheme.subsample_size_for, data.n)
-    center = CenterPolicy(args.center)
-    if center is not CenterPolicy.SAMPLE_MEAN and kind is not SchemeKind.PARAMETRIC_BOOTSTRAP:
-        raise InputError(f"--center: only --scheme parametric takes --center {center.value}")
     _check_count("--B", args.B)
-    return model, data, _checked("--B/--seed", BagConfig, args.B, scheme, args.seed, center)
+    cfg = _checked("--B/--seed", BagConfig, args.B, scheme, args.seed)
+    return model, data, _checked("--center", replace, cfg, center_policy=CenterPolicy(args.center))
 
 
 def _percent(level: float) -> str:

@@ -170,31 +170,24 @@ def _mixture_curve(mix, grid: np.ndarray) -> np.ndarray:
     ])
 
 
-def bagged_cdf_curves(
-    model: GaussianLocationModel,
-    data: Dataset,
-    cfg: BagConfig,
-    level: float = DEFAULT_LEVEL,
-):
-    """Raw posterior and bagged CDF curves on the default grid.
+def bagged_cdf_curves(model: GaussianLocationModel, data: Dataset, cfg: BagConfig):
+    """Raw posterior and bagged CDF curves on the default grid, and the bag they measure.
 
     The parametric scheme takes the closed form (method ``"exact"``), which
     uses neither ``cfg.replicates`` nor ``cfg.seed``, as a one-component
     mixture; every other scheme takes Monte Carlo (method ``"mc(B=...)"``).
-    The curve and interval of either come from one mixture; those of one
-    component are its own bit for bit.  Returns ``(grid, posterior_curve,
-    bagged_curve, bagged_interval, degenerate_flag, method)``; the flag
-    marks two or more components, all with one mean.
+    The bagged curve is that mixture's; a one-component curve is its normal's
+    bit for bit.  Returns ``(grid, posterior_curve, bagged_curve, mixture,
+    method)``.
     """
     grid = evaluation_grid(model, data, center_policy=cfg.center_policy)
     post_curve = _normal_curve(posterior(model, data), grid)
     if cfg.scheme.kind is SchemeKind.PARAMETRIC_BOOTSTRAP:
-        mix, method = MixtureCdf((bayesbag_exact(model, data, cfg.center_policy),)), "exact"
+        bag = bayesbag_exact(model, data, cfg.center_policy)
+        mix, method = MixtureCdf([bag.mean], [bag.variance]), "exact"
     else:
         mix, method = bayesbag_mc(model, data, cfg), f"mc(B={cfg.replicates})"
-    degenerate = len(mix) > 1 and bool(np.all(mix.means == mix.means[0]))
-    interval = credible_interval(mix, level)
-    return grid, post_curve, _mixture_curve(mix, grid), interval, degenerate, method
+    return grid, post_curve, _mixture_curve(mix, grid), mix, method
 
 
 def make_report(
@@ -205,20 +198,21 @@ def make_report(
 ) -> BagReport:
     """Assemble the interval comparison and grid-based diagnostics.
 
-    ``ks_distance`` is the sup distance between the raw-posterior and bagged
-    CDFs evaluated on the grid (grid-approximate, not the exact sup over R).
-    The report keeps the grid and both curves of :func:`bagged_cdf_curves`.
+    The bagged interval, the degeneracy flag (two or more components, all
+    with one mean) and ``ks_distance`` all measure the one mixture of
+    :func:`bagged_cdf_curves`.  ``ks_distance`` is the sup distance between
+    the two CDF curves on the grid, which the report keeps with both curves
+    (grid-approximate, not the exact sup over R).
     """
-    grid, post_curve, bag_curve, bagged_interval, degenerate, method = bagged_cdf_curves(
-        model, data, cfg, level
-    )
+    grid, post_curve, bag_curve, mix, method = bagged_cdf_curves(model, data, cfg)
+    bagged_interval = credible_interval(mix, level)
     posterior_interval = credible_interval(posterior(model, data), level)
     return BagReport(
         posterior_interval=posterior_interval,
         bagged_interval=bagged_interval,
         widening_ratio=bagged_interval.width / posterior_interval.width,
         ks_distance=float(np.max(np.abs(post_curve - bag_curve))),
-        degenerate_resampling_flag=degenerate,
+        degenerate_resampling_flag=len(mix) > 1 and bool(np.all(mix.means == mix.means[0])),
         method=method,
         grid=grid,
         posterior_curve=post_curve,

@@ -138,13 +138,7 @@ def test_criterion_6_property_suites(tmp_path):
     # mixture CDF monotonicity and bounds, 1000 random mixtures
     for _ in range(1000):
         size = int(rng.integers(1, 15))
-        components = tuple(
-            NormalDist(float(m), float(v))
-            for m, v in zip(
-                rng.uniform(-10, 10, size), 10.0 ** rng.uniform(-3, 2, size)
-            )
-        )
-        mix = MixtureCdf(components)
+        mix = MixtureCdf(rng.uniform(-10, 10, size), 10.0 ** rng.uniform(-3, 2, size))
         us = np.sort(rng.uniform(-40, 40, 12))
         values = _mixture_mean(_component_values(mix, us))
         assert np.all(values >= 0.0) and np.all(values <= 1.0)
@@ -156,14 +150,7 @@ def test_criterion_6_property_suites(tmp_path):
         assert abs(normal_cdf(normal_quantile(p, std), std) - p) <= 1e-9
     for _ in range(100):
         size = int(rng.integers(1, 10))
-        mix = MixtureCdf(
-            tuple(
-                NormalDist(float(m), float(v))
-                for m, v in zip(
-                    rng.uniform(-5, 5, size), 10.0 ** rng.uniform(-2, 2, size)
-                )
-            )
-        )
+        mix = MixtureCdf(rng.uniform(-5, 5, size), 10.0 ** rng.uniform(-2, 2, size))
         for p in (0.025, 0.5, 0.975):
             assert abs(mixture_cdf_eval(mix, mixture_quantile(mix, p)) - p) <= 1e-9
 

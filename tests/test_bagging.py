@@ -42,8 +42,8 @@ normal_components = st.builds(
     st.floats(min_value=-20.0, max_value=20.0, allow_nan=False),
     st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
 )
-mixtures = st.builds(
-    MixtureCdf, st.lists(normal_components, min_size=1, max_size=12).map(tuple)
+mixtures = st.lists(normal_components, min_size=1, max_size=12).map(
+    lambda comps: MixtureCdf([c.mean for c in comps], [c.variance for c in comps])
 )
 
 
@@ -51,7 +51,7 @@ def _near_degenerate(mean, sd, steps):
     """Mixture whose component means and sds are a few float spacings from ``mean`` and ``sd``."""
     means = [mean + k * math.ulp(mean) for k, _ in steps]
     sds = [sd + k * math.ulp(sd) for _, k in steps]
-    return MixtureCdf.normal(means, [s * s for s in sds])
+    return MixtureCdf(means, [s * s for s in sds])
 
 
 near_degenerate_mixtures = st.builds(
@@ -134,7 +134,7 @@ class TestBayesbagQuadrature:
 class TestMixtureCdfEval:
     def test_identical_components(self):
         comp = NormalDist(1.0, 2.0)
-        mix = MixtureCdf((comp,) * 5)
+        mix = MixtureCdf([comp.mean] * 5, [comp.variance] * 5)
         for u in (-1.0, 1.0, 4.0):
             assert mixture_cdf_eval(mix, u) == pytest.approx(normal_cdf(u, comp), abs=1e-15)
 
@@ -165,14 +165,14 @@ class TestMixtureCdfEval:
 class TestMixtureQuantile:
     def test_single_component(self):
         comp = NormalDist(0.3, 1.7)
-        mix = MixtureCdf((comp,))
+        mix = MixtureCdf([comp.mean], [comp.variance])
         for p in (0.025, 0.5, 0.975):
             assert mixture_quantile(mix, p) == pytest.approx(
                 normal_quantile(p, comp), abs=1e-9
             )
 
     def test_symmetric_median(self):
-        mix = MixtureCdf((NormalDist(1.0, 2.0), NormalDist(3.0, 2.0)))
+        mix = MixtureCdf([1.0, 3.0], [2.0, 2.0])
         assert mixture_quantile(mix, 0.5) == pytest.approx(2.0, abs=1e-9)
 
     def test_large_mixture_matches_exact_quantiles(self):
@@ -192,7 +192,7 @@ class TestMixtureQuantile:
     @given(near_degenerate_mixtures, st.sampled_from([1e-9, 0.025, 0.5, 0.975]))
     @example(
         # the mixture CDF at the lowest component quantile rounds 6.9e-18 above p
-        MixtureCdf.normal(
+        MixtureCdf(
             [0.005737091110101642, 0.0057370911101016445, 0.005737091110101642,
              0.005737091110101642],
             [0.012191611442939934**2] * 4,
@@ -206,26 +206,28 @@ class TestMixtureQuantile:
         assert abs(mixture_cdf_eval(mix, q) - p) <= 1e-9
 
     def test_out_of_range(self):
-        mix = MixtureCdf((NormalDist(0.0, 1.0),))
+        mix = MixtureCdf([0.0], [1.0])
         for p in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError, match="probability out of range"):
                 mixture_quantile(mix, p)
+        with pytest.raises(ValueError, match="non-finite input"):
+            mixture_cdf_eval(mix, math.nan)
 
     def test_all_degenerate_rejected(self):
         # point-mass components are refused when the mixture is built
         with pytest.raises(ValueError, match="variance must be finite and positive"):
-            mixture_quantile(MixtureCdf.normal([0.0, 1.0], [0.0, 0.0]), 0.5)
+            mixture_quantile(MixtureCdf([0.0, 1.0], [0.0, 0.0]), 0.5)
 
     def test_identical_components_give_their_quantile_bit_for_bit(self):
         comp = NormalDist(0.71, 1.0 / 10.25)
-        mix = MixtureCdf.normal([comp.mean] * 20, [comp.variance] * 20)
+        mix = MixtureCdf([comp.mean] * 20, [comp.variance] * 20)
         for p in (0.025, 0.3, 0.5, 0.975):
             assert mixture_quantile(mix, p) == normal_quantile(p, comp)
 
     def test_bracket_near_largest_float_does_not_overflow(self):
         # the bracket's ends sum past the largest float, so the midpoint
         # must be formed from halves
-        mix = MixtureCdf.normal([1e308, 1.5e308], [1e300, 1e300])
+        mix = MixtureCdf([1e308, 1.5e308], [1e300, 1e300])
         q = mixture_quantile(mix, 0.5)
         assert math.isfinite(q)
         assert 1e308 < q < 1.5e308
@@ -377,7 +379,7 @@ class TestCredibleInterval:
         with pytest.raises(ValueError):
             credible_interval(NormalDist(0.0, 1.0), 1.0)
         # below the floor, a level or tail that bisection cannot resolve
-        mix = MixtureCdf([NormalDist(0.1, 0.2), NormalDist(0.5, 0.3), NormalDist(0.9, 0.2)])
+        mix = MixtureCdf([0.1, 0.5, 0.9], [0.2, 0.3, 0.2])
         for dist in (NormalDist(0.0, 1.0), mix):
             for level in (1e-12, 1e-16, 0.9999999999999999, math.nan):
                 with pytest.raises(ValueError, match=r"each tail \(1 - level\)/2 at least 1.02e-09"):
@@ -394,6 +396,10 @@ class TestConfigAndTypes:
             BagConfig(replicates=0)
         with pytest.raises(ValueError):
             BagConfig(seed=-1)
+        # only the parametric scheme draws around a center
+        for scheme in (ResampleScheme.nonparametric(), ResampleScheme.subsample()):
+            with pytest.raises(ValueError, match="only the parametric scheme takes the MAP center"):
+                BagConfig(scheme=scheme, center_policy=CenterPolicy.MAP)
 
     def test_quantile_pair_ordering(self):
         with pytest.raises(ValueError):
@@ -403,12 +409,10 @@ class TestConfigAndTypes:
         assert QuantilePair(1.0, 2.0).width == 1.0
 
     def test_mixture_validation(self):
-        with pytest.raises(ValueError):
-            MixtureCdf(())
         with pytest.raises(TypeError):
-            MixtureCdf((3.0,))
+            MixtureCdf([NormalDist(0.0, 1.0)], [1.0])
         with pytest.raises(TypeError):
-            MixtureCdf((NormalDist(0.0, 1.0), lambda u: 0.5))
+            MixtureCdf([0.0, lambda u: 0.5], [1.0, 1.0])
         for means, variances in (
             ([], []),
             ([0.0, 1.0], [1.0]),
@@ -420,19 +424,16 @@ class TestConfigAndTypes:
             ([1.0, 2.0], [1.0, 0.0]),
         ):
             with pytest.raises(ValueError):
-                MixtureCdf.normal(means, variances)
+                MixtureCdf(means, variances)
 
-    def test_array_and_component_forms_agree(self):
+    def test_components_view_the_arrays(self):
+        mix = MixtureCdf([0.5, -1.0, 3.0], [2.0, 1e-6, 0.25])
         components = (NormalDist(0.5, 2.0), NormalDist(-1.0, 1e-6), NormalDist(3.0, 0.25))
-        from_tuple = MixtureCdf(components)
-        from_arrays = MixtureCdf.normal([0.5, -1.0, 3.0], [2.0, 1e-6, 0.25])
-        assert from_arrays.components == components
-        assert from_tuple.components == components
-        for mix in (from_tuple, from_arrays):
-            assert len(mix) == 3
-            assert mix.means.tolist() == [c.mean for c in components]
-            assert mix.sds.tolist() == [c.sd for c in components]
-        assert mixture_quantile(from_tuple, 0.3) == mixture_quantile(from_arrays, 0.3)
+        assert len(mix) == 3
+        assert mix.components == components
+        assert mix.means.tolist() == [c.mean for c in components]
+        assert mix.sds.tolist() == [c.sd for c in components]
+        assert not (mix.means.flags.writeable or mix.sds.flags.writeable)
 
     def test_exact_equals_law_plus_posterior_variance(self):
         # independent derivation check: integral of the posterior CDF against

@@ -185,7 +185,7 @@ class TestBag:
 
     def test_header_autodetected(self, tmp_path):
         data_file = tmp_path / "obs.csv"
-        write_lines(data_file, ["value", "1.0", "2.0"])
+        write_lines(data_file, ["value", "1.0", "", "   ", "2.0", ""])
         assert read_observations(data_file).n == 2
 
     def test_empty_file_exit_code(self, tmp_path, capsys):
@@ -194,14 +194,23 @@ class TestBag:
         assert main(["bag", "--input", str(data_file), "--out", str(tmp_path)]) == 2
         assert "empty dataset" in capsys.readouterr().err
 
-    def test_malformed_row_reports_line_number(self, tmp_path, capsys):
+    @pytest.mark.parametrize("row", ["oops", "nan", "inf"])
+    def test_malformed_row_reports_line_number(self, tmp_path, capsys, row):
         data_file = tmp_path / "bad.csv"
-        write_lines(data_file, ["1.0", "oops", "2.0"])
+        write_lines(data_file, ["1.0", row, "2.0"])
         assert main(["bag", "--input", str(data_file), "--out", str(tmp_path)]) == 2
-        assert "line 2" in capsys.readouterr().err
+        assert f"{data_file}: line 2: " in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["bag", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path)]) == 2
+
+    def test_unexpected_exception_exits_1(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(bayesbag.cli, "make_report", fail)
+        assert main(["bag", "--synthetic-n", "3", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "internal error: boom\n"
 
     def test_input_and_synthetic_are_exclusive(self, tmp_path, capsys):
         data_file = tmp_path / "obs.csv"
@@ -412,6 +421,7 @@ LEVEL_FLOOR = RESOLUTION_ULPS * _QUANTILE_CDF_TOL
 OUT_OF_RANGE = [
     ("--seed", ("table1", "bag", "curves"), bad_seeds),
     ("--synthetic-seed", ("bag", "curves"), bad_seeds),
+    ("--synthetic-n", ("bag", "curves"), st.integers(max_value=0)),
     ("--B", ("table1", "bag", "curves"), st.integers(max_value=0)),
     (
         "--level",

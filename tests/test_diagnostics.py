@@ -17,6 +17,7 @@ from bayesbag import (
     bayesbag_exact,
     bayesbag_mc,
     build_band,
+    credible_interval,
     evaluation_grid,
     make_report,
     mixture_cdf_eval,
@@ -159,6 +160,38 @@ class TestMakeReport:
         report = make_report(MODEL, varied, cfg)
         assert report.widening_ratio > 1.0
         assert not report.degenerate_resampling_flag
+
+
+class TestReportMixture:
+    VARIED = Dataset((0.2, 1.9, 0.7, 1.1, 0.5, 0.9))
+
+    @pytest.mark.parametrize("policy", list(CenterPolicy))
+    def test_parametric_mixture_is_the_closed_form(self, policy):
+        cfg = BagConfig(10, seed=1, center_policy=policy)
+        mix, method = bagged_cdf_curves(MODEL, self.VARIED, cfg)[3:]
+        bag = bayesbag_exact(MODEL, self.VARIED, policy)
+        assert method == "exact"
+        assert mix.means.tolist() == [bag.mean]
+        assert mix.variances.tolist() == [bag.variance]
+
+    @pytest.mark.parametrize("scheme", [ResampleScheme.nonparametric(), ResampleScheme.subsample()])
+    def test_monte_carlo_mixture_is_bayesbag_mc_bit_for_bit(self, scheme):
+        cfg = BagConfig(200, scheme, seed=3)
+        mix, method = bagged_cdf_curves(MODEL, self.VARIED, cfg)[3:]
+        expected = bayesbag_mc(MODEL, self.VARIED, cfg)
+        assert method == "mc(B=200)"
+        assert mix.means.tobytes() == expected.means.tobytes()
+        assert mix.variances.tobytes() == expected.variances.tobytes()
+
+    @pytest.mark.parametrize(
+        "scheme", [ResampleScheme.parametric(), ResampleScheme.nonparametric(), ResampleScheme.subsample()]
+    )
+    def test_bagged_interval_is_the_mixtures(self, scheme):
+        cfg = BagConfig(200, scheme, seed=3)
+        mix = bagged_cdf_curves(MODEL, self.VARIED, cfg)[3]
+        for level in (0.5, 0.95):
+            report = make_report(MODEL, self.VARIED, cfg, level)
+            assert report.bagged_interval == credible_interval(mix, level)
 
 
 class TestChunkedBagCurve:
