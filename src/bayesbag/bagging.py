@@ -16,21 +16,21 @@ kept as an independent check on that derivation.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-
-import numpy as np
 
 from .model import (
     Dataset,
     GaussianLocationModel,
     NormalDist,
+    _count,
     _normal_cdf,
     _normal_quantile,
     _posterior_moments,
+    _reals,
     normal_quantile,
+    np,
     posterior,
 )
 from .resampling import (
@@ -93,7 +93,7 @@ class BagConfig:
     center_policy: CenterPolicy = CenterPolicy.SAMPLE_MEAN
 
     def __post_init__(self):
-        replicates = operator.index(self.replicates)
+        replicates = _count(self.replicates)
         if replicates < 1:
             raise ValueError("replicates must be at least 1")
         object.__setattr__(self, "replicates", replicates)
@@ -111,8 +111,7 @@ class QuantilePair:
     hi: float
 
     def __post_init__(self):
-        lo = float(self.lo)
-        hi = float(self.hi)
+        lo, hi = _reals(self.lo, self.hi)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("quantiles must be finite")
         if not lo < hi:
@@ -134,8 +133,10 @@ class MixtureCdf:
     """
 
     def __init__(self, means, variances):
-        means = np.array(means, dtype=float)
-        variances = np.array(variances, dtype=float)
+        means, variances = np.array(means), np.array(variances)
+        if means.dtype.kind not in "iuf" or variances.dtype.kind not in "iuf":
+            raise TypeError("means and variances must be integer or float arrays")
+        means, variances = means.astype(float, copy=False), variances.astype(float, copy=False)
         if means.ndim != 1 or means.shape != variances.shape:
             raise ValueError("means and variances must be 1-d arrays of one length")
         if means.size == 0:

@@ -10,11 +10,10 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .bagging import (
     DEFAULT_LEVEL,
@@ -32,7 +31,7 @@ from .diagnostics import (
     build_band,
     make_report,
 )
-from .model import Dataset, GaussianLocationModel, posterior
+from .model import Dataset, GaussianLocationModel, np, posterior
 from .resampling import ResampleScheme, SchemeKind, Seed
 
 __all__ = [
@@ -409,6 +408,9 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    # numpy, and its OpenBLAS, load after this line: a pool of one thread per core
+    # burns CPU that the package's 1-d products never use.  Library callers keep theirs.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     raise SystemExit(main())
 
 

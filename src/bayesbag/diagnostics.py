@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .bagging import (
     DEFAULT_LEVEL,
@@ -19,7 +16,7 @@ from .bagging import (
     bayesbag_mc,
     credible_interval,
 )
-from .model import Dataset, GaussianLocationModel, NormalDist, _normal_cdf, posterior
+from .model import Dataset, GaussianLocationModel, NormalDist, _count, _normal_cdf, np, posterior
 from .resampling import SchemeKind
 
 __all__ = [
@@ -45,7 +42,7 @@ class GridSpec:
     points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self):
-        points = operator.index(self.points)
+        points = _count(self.points)
         if points < 2:
             raise ValueError("grid needs at least 2 points")
         object.__setattr__(self, "points", points)

@@ -36,12 +36,32 @@ scalar evaluation equals the same point of a grid evaluation bit for bit.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import numbers
+import operator
 import statistics
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
+
+def _lazy_numpy():
+    """numpy, run at its first attribute access (the closed form and the value types use none).
+
+    Until then ``sys.modules["numpy"]`` holds the stub and ``"numpy._core"`` is absent.
+    """
+    if "numpy" not in sys.modules:
+        spec = importlib.util.find_spec("numpy")
+        if spec is None:
+            raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules["numpy"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules["numpy"])
+    return sys.modules["numpy"]
+
+
+np = _lazy_numpy()
 
 __all__ = [
     "GaussianLocationModel",
@@ -199,6 +219,21 @@ def _normal_quantile(p, mean, sd):
     return mean + sd * _std_normal_inv_cdf(p)
 
 
+def _reals(*values) -> tuple[float, ...]:
+    """``values`` as floats; ``TypeError`` for a str, bytes, bool or anything not a real number."""
+    for kind in set(map(type, values)):
+        if issubclass(kind, bool) or not issubclass(kind, numbers.Real):
+            raise TypeError(f"expected a real number, got {kind.__name__}")
+    return tuple(map(float, values))
+
+
+def _count(value) -> int:
+    """``value`` as an int; ``TypeError`` unless it is an integer and not a bool."""
+    if isinstance(value, bool):
+        raise TypeError("expected an integer, got bool")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class GaussianLocationModel:
     """Normal prior (variance ``tau_sq``) with known noise variance ``sigma_sq``."""
@@ -207,8 +242,7 @@ class GaussianLocationModel:
     sigma_sq: float
 
     def __post_init__(self):
-        for name in ("tau_sq", "sigma_sq"):
-            value = float(getattr(self, name))
+        for name, value in zip(("tau_sq", "sigma_sq"), _reals(self.tau_sq, self.sigma_sq)):
             if not math.isfinite(value) or value <= 0.0:
                 raise ValueError(f"{name} must be positive and finite")
             if math.isinf(1.0 / value):
@@ -224,7 +258,7 @@ class Dataset:
     observations: tuple[float, ...]
 
     def __post_init__(self):
-        obs = tuple(float(x) for x in self.observations)
+        obs = _reals(*self.observations)
         if len(obs) == 0:
             raise ValueError("empty dataset")
         if not all(math.isfinite(x) for x in obs):
@@ -258,8 +292,7 @@ class NormalDist:
     variance: float
 
     def __post_init__(self):
-        mean = float(self.mean)
-        variance = float(self.variance)
+        mean, variance = _reals(self.mean, self.variance)
         if not math.isfinite(mean):
             raise ValueError("mean must be finite")
         if not math.isfinite(variance) or variance <= 0.0:

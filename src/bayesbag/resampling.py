@@ -25,13 +25,10 @@ reproduces bit for bit.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .model import Dataset, GaussianLocationModel, NormalDist, posterior
+from .model import Dataset, GaussianLocationModel, NormalDist, _count, _reals, np, posterior
 
 __all__ = [
     "SchemeKind",
@@ -67,7 +64,7 @@ class ResampleScheme:
         if self.subsample_size is not None:
             if self.kind is not SchemeKind.SUBSAMPLE:
                 raise ValueError("only the subsample scheme takes a subsample size")
-            size = operator.index(self.subsample_size)
+            size = _count(self.subsample_size)
             if size < 1:
                 raise ValueError("subsample_size must be at least 1")
             object.__setattr__(self, "subsample_size", size)
@@ -106,8 +103,7 @@ class Seed:
     replicate_index: int = 0
 
     def __post_init__(self):
-        master = operator.index(self.master)
-        index = operator.index(self.replicate_index)
+        master, index = _count(self.master), _count(self.replicate_index)
         if not 0 <= master < 2**64:
             raise ValueError("master seed must be a 64-bit unsigned integer")
         if index < 0:
@@ -129,7 +125,7 @@ class PointEstimate:
     value: float
 
     def __post_init__(self):
-        value = float(self.value)
+        (value,) = _reals(self.value)
         if not math.isfinite(value):
             raise ValueError("point estimate must be finite")
         object.__setattr__(self, "value", value)
@@ -190,25 +186,26 @@ def resample(
 # PCG64 seeding that default_rng gives it (numpy/random/bit_generator.pyx,
 # numpy/random/src/pcg64/pcg64.h).  Every hash constant is fixed, so the
 # hash runs on whole arrays of replicate indices: 32-bit products are formed
-# in uint64 and masked.  An entropy of at most four words never reaches the
+# in uint64 and masked (each constant is an int below 2**32, which keeps a
+# uint64 array uint64).  An entropy of at most four words never reaches the
 # pool's extra-entropy loop.
 _MASK32 = 0xFFFFFFFF
-_SHIFT = np.uint64(16)
-_WORD = np.uint64(32)
+_SHIFT = 16
+_WORD = 32
 
 
-def _hash_constants(init: int, mult: int, count: int) -> list[np.uint64]:
+def _hash_constants(init: int, mult: int, count: int) -> list[int]:
     constants = [init]
     while len(constants) < count:
         constants.append(constants[-1] * mult & _MASK32)
-    return [np.uint64(c) for c in constants]
+    return constants
 
 
 # the pool's 4 + 12 hashmix calls, and generate_state's 4 uint64 = 8 words
 _HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 17)
 _HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
-_MIX_L = np.uint64(0xCA01F9DD)
-_MIX_R = np.uint64(0x4973F715)
+_MIX_L = 0xCA01F9DD
+_MIX_R = 0x4973F715
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 

@@ -60,6 +60,21 @@ def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def run_python(*args, **env):
+    """Run a fresh interpreter on ``args`` with this checkout on its path; ``env`` sets variables, None unsets one."""
+    src = str(Path(bayesbag.__file__).resolve().parents[1])
+    environ = dict(os.environ)
+    environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")]))
+    for name, value in env.items():
+        if value is None:
+            environ.pop(name, None)
+        else:
+            environ[name] = value
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=environ, timeout=120
+    )
+
+
 class TestTable1:
     def test_exact_rows(self, tmp_path):
         assert main(["table1", "--out", str(tmp_path)]) == 0
@@ -98,13 +113,7 @@ class TestTable1:
         assert row_a["posterior_lo"] != row_b["posterior_lo"]
 
     def test_module_entry_point(self, tmp_path):
-        src = str(Path(bayesbag.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-m", "bayesbag.cli", "table1", "--out", str(tmp_path)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        result = run_python("-m", "bayesbag.cli", "table1", "--out", str(tmp_path))
         assert result.returncode == 0, result.stderr
         assert "95% credible intervals" in result.stdout
         assert [r["n"] for r in read_rows(tmp_path / "table1.csv")] == ["1", "10"]
@@ -112,26 +121,84 @@ class TestTable1:
     def test_runs_without_importing_scipy(self, tmp_path):
         # scipy is a test dependency only; importing it would cost every
         # process most of its start-up time.  numpy is the only runtime
-        # dependency: every other module the CLI adds is the standard
-        # library's (site may have loaded third-party modules before it)
-        src = str(Path(bayesbag.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        # dependency: every other module the CLI adds, once a Monte Carlo
+        # run has loaded numpy for real, is the standard library's or the
+        # Cython runtime that numpy.random's extensions register (site may
+        # have loaded third-party modules before it)
         code = (
             "import sys\n"
             "before = set(sys.modules)\n"
             "from bayesbag.cli import main\n"
+            f"assert main(['table1', '--mc', '--B', '20', '--out', {str(tmp_path)!r}]) == 0\n"
+            "assert 'numpy._core' in sys.modules\n"
             "added = {m.split('.')[0] for m in set(sys.modules) - before}\n"
-            f"assert main(['table1', '--out', {str(tmp_path)!r}]) == 0\n"
+            "added = {m for m in added if m != 'cython_runtime' and not m.startswith('_cython_')}\n"
             "print(sorted(added - {'bayesbag', 'numpy'} - sys.stdlib_module_names))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        result = run_python("-c", code)
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-2:] == ["[]", "[]"]
+
+    def test_exact_table1_loads_no_numpy(self, tmp_path):
+        # the closed form is pure Python; numpy is a lazy stub in
+        # sys.modules until something uses it, so its real package is the test
+        code = (
+            "import sys\n"
+            "from bayesbag.cli import entrypoint\n"
+            "for out, flags in ((sys.argv[1], []), (sys.argv[2], ['--mc', '--B', '20'])):\n"
+            "    sys.argv = ['bayesbag', 'table1', '--out', out, *flags]\n"
+            "    try:\n"
+            "        entrypoint()\n"
+            "    except SystemExit as exit:\n"
+            "        assert exit.code == 0, exit.code\n"
+            "    print('numpy loaded:', 'numpy._core' in sys.modules)\n"
+        )
+        result = run_python("-c", code, str(tmp_path / "exact"), str(tmp_path / "mc"))
+        assert result.returncode == 0, result.stderr
+        loaded = [line for line in result.stdout.splitlines() if line.startswith("numpy loaded:")]
+        assert loaded == ["numpy loaded: False", "numpy loaded: True"]
+        # the same bytes as a run in this process, where numpy is loaded
+        assert main(["table1", "--out", str(tmp_path / "here")]) == 0
+        assert (tmp_path / "exact" / "table1.csv").read_bytes() == (
+            tmp_path / "here" / "table1.csv"
+        ).read_bytes()
+
+    def test_library_use_leaves_the_environment_alone(self, tmp_path):
+        # importing the package and calling main as a library set no
+        # variable, so numpy starts the BLAS threads a bare import starts
+        threads = "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None"
+        code = (
+            "import os, sys\n"
+            "before = dict(os.environ)\n"
+            "import bayesbag, bayesbag.cli\n"
+            "assert dict(os.environ) == before\n"
+            "assert bayesbag.cli.main(['table1', '--mc', '--B', '20', '--out', sys.argv[1]]) == 0\n"
+            "assert 'numpy._core' in sys.modules\n"
+            "print(dict(os.environ) == before)\n"
+            f"print({threads})\n"
+        )
+        result = run_python("-c", code, str(tmp_path))
+        bare = run_python("-c", f"import os\nimport numpy\nprint({threads})\n")
+        assert result.returncode == 0, result.stderr
+        assert bare.returncode == 0, bare.stderr
+        assert result.stdout.splitlines()[-2:] == ["True", bare.stdout.strip()]
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("4", "4")], ids=["unset", "user-set"])
+    def test_entrypoint_defaults_to_one_blas_thread(self, tmp_path, preset, expected):
+        code = (
+            "import os, sys\n"
+            "from bayesbag.cli import entrypoint\n"
+            "sys.argv = ['bayesbag', 'table1', '--out', sys.argv[1]]\n"
+            "try:\n"
+            "    entrypoint()\n"
+            "except SystemExit as exit:\n"
+            "    assert exit.code == 0, exit.code\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        )
+        result = run_python("-c", code, str(tmp_path), OPENBLAS_NUM_THREADS=preset)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == expected
 
 
 class TestBag:

@@ -326,6 +326,49 @@ class TestParametricDistribution:
         assert ks <= 1.36 / math.sqrt(B_DIST) + 0.01
 
 
+# skewed, with distinct values, so a draw law that drops, repeats or
+# reweights an observation moves the mean, variance or third moment
+SKEWED = Dataset((0.0, 0.5, 1.0, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0))
+B_LAW = 10000
+
+
+class TestIndexSchemeLaw:
+    """Replicate means of the index schemes against their exact moments.
+
+    With the data's central moments m2 and m3 (divisor n), the
+    nonparametric replicate mean has mean xbar, variance m2 / n and third
+    central moment m3 / n^2; a subsample of m without replacement has
+    variance (m2 / m)(n - m)/(n - 1) and third moment
+    m3 (n - m)(n - 2m) / (m^2 (n - 1)(n - 2)).  Each moment about the exact
+    mean xbar is an average of B i.i.d. terms, checked within 4 standard
+    errors estimated from those terms.
+    """
+
+    @pytest.mark.parametrize(
+        "scheme, seed",
+        [(ResampleScheme.nonparametric(), 11), (ResampleScheme.subsample(), 12),
+         (ResampleScheme.subsample(3), 13), (ResampleScheme.subsample(8), 14)],
+        ids=["nonparametric", "subsample-half", "subsample-3", "subsample-8"],
+    )
+    def test_moments(self, scheme, seed):
+        x = np.array(SKEWED.observations)
+        n, xbar = SKEWED.n, SKEWED.mean
+        m2, m3 = np.mean((x - xbar) ** 2), np.mean((x - xbar) ** 3)
+        if scheme.kind is SchemeKind.NONPARAMETRIC_BOOTSTRAP:
+            m, variance, third = n, m2 / n, m3 / n**2
+        else:
+            m = scheme.subsample_size_for(n)
+            variance = m2 / m * (n - m) / (n - 1)
+            third = m3 * (n - m) * (n - 2 * m) / (m**2 * (n - 1) * (n - 2))
+        center = point_estimate(SKEWED)
+        size, means = resampling.replicate_means(scheme, MODEL, SKEWED, center, seed, B_LAW)
+        assert size == m
+        deviation = means - xbar
+        for terms, exact in ((deviation, 0.0), (deviation**2, variance), (deviation**3, third)):
+            se = terms.std() / math.sqrt(B_LAW)
+            assert abs(terms.mean() - exact) <= 4.0 * se
+
+
 class TestBootstrapMeanLaw:
     def test_single_observation(self):
         law = bootstrap_mean_law(MODEL, DATA_1, point_estimate(DATA_1))

@@ -1,4 +1,4 @@
-"""The public surface: exported names, the CLI's vocabulary and defaults, integer fields."""
+"""The public surface: exported names, the CLI's vocabulary and defaults, field types."""
 
 import argparse
 import ast
@@ -8,7 +8,20 @@ import numpy as np
 import pytest
 
 import bayesbag
-from bayesbag import BagConfig, CenterPolicy, GridSpec, ResampleScheme, SchemeKind, Seed
+from bayesbag import (
+    BagConfig,
+    CenterPolicy,
+    Dataset,
+    GaussianLocationModel,
+    GridSpec,
+    MixtureCdf,
+    NormalDist,
+    PointEstimate,
+    QuantilePair,
+    ResampleScheme,
+    SchemeKind,
+    Seed,
+)
 from bayesbag.bagging import DEFAULT_LEVEL
 from bayesbag.cli import build_parser
 
@@ -91,6 +104,50 @@ def test_integer_fields_take_numpy_integers_as_ints():
     assert all(type(value) is int for value in fields)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GaussianLocationModel("4", True),
+        lambda: Dataset(("1.5", True, "3")),
+        lambda: Dataset((1.5, np.True_)),
+        lambda: NormalDist("0", True),
+        lambda: NormalDist(0.0, b"1"),
+        lambda: PointEstimate("1.5"),
+        lambda: QuantilePair(False, 1.0),
+        lambda: MixtureCdf(["1.0", "2"], [True, "0.5"]),
+        lambda: MixtureCdf([1.0, 2.0], [True, True]),
+        lambda: BagConfig(replicates=True),
+        lambda: Seed(False),
+        lambda: Seed(7, True),
+        lambda: GridSpec(True),
+        lambda: ResampleScheme.subsample(True),
+    ],
+    ids=[
+        "model-str-bool", "dataset-str-bool", "dataset-numpy-bool", "normal-str-bool",
+        "normal-bytes", "point-estimate-str", "quantile-pair-bool", "mixture-str",
+        "mixture-bool-array", "replicates-bool", "seed-bool", "replicate-index-bool",
+        "grid-points-bool", "subsample-bool",
+    ],
+)
+def test_fields_refuse_strings_and_bools(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_real_fields_take_numpy_scalars_as_floats():
+    mix = MixtureCdf(np.array([1, 2], dtype=np.int32), np.array([0.5, 2.0], dtype=np.float32))
+    fields = [
+        GaussianLocationModel(np.float32(4.0), np.int64(1)).sigma_sq,
+        *Dataset((np.float64(1.5), np.int8(2), 3)).observations,
+        NormalDist(np.uint16(3), np.float32(0.25)).variance,
+        PointEstimate(np.int64(-2)).value,
+        QuantilePair(np.float32(-1.5), np.float64(1.5)).hi,
+    ]
+    assert fields == [1.0, 1.5, 2.0, 3.0, 0.25, -2.0, 1.5]
+    assert all(type(value) is float for value in fields)
+    assert mix.means.tolist() == [1.0, 2.0] and mix.variances.tolist() == [0.5, 2.0]
+
+
 def unused_imports(source: str) -> list[str]:
     """Names a module imports but neither uses nor lists in its ``__all__``."""
     tree = ast.parse(source)
@@ -114,7 +171,7 @@ def unused_imports(source: str) -> list[str]:
 
 def test_unused_import_guard_sees_an_unused_import():
     source = (Path(bayesbag.__file__).parent / "diagnostics.py").read_text(encoding="utf-8")
-    assert unused_imports(source.replace("import operator\n", "import math\nimport operator\n")) == ["math"]
+    assert unused_imports(source.replace("from dataclasses", "import math\nfrom dataclasses", 1)) == ["math"]
     assert unused_imports("from .a import b as c\n__all__ = ['c']\n") == []
 
 
