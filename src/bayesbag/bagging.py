@@ -10,14 +10,14 @@ the bag is normal with the replicate-mean law's mean and the summed variance
     variance = 1 / (1 / tau_sq + n / sigma_sq) + n * sigma_sq / (n + sigma_sq / tau_sq)^2
 
 The quadrature evaluator integrates the defining integral directly and is
-kept as an independent check on that derivation.
+kept as an independent check on that derivation.  :mod:`.resampling`
+defines and resolves the parametric bootstrap's center.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import lru_cache
 
 from .model import (
@@ -34,18 +34,16 @@ from .model import (
     posterior,
 )
 from .resampling import (
-    PointEstimate,
+    CenterPolicy,
     ResampleScheme,
     SchemeKind,
     Seed,
     _bootstrap_mean_moments,
-    map_point_estimate,
-    point_estimate,
+    _center,
     replicate_means,
 )
 
 __all__ = [
-    "CenterPolicy",
     "BagConfig",
     "QuantilePair",
     "MixtureCdf",
@@ -76,13 +74,6 @@ _QUADRATURE_NODES = 128
 _QUADRATURE_RESIDUAL_TOL = 1e-10
 
 
-class CenterPolicy(Enum):
-    """Which point estimate centers the parametric bootstrap."""
-
-    SAMPLE_MEAN = "mean"
-    MAP = "map"
-
-
 @dataclass(frozen=True)
 class BagConfig:
     """Replicate count, resampling scheme, master seed, and centering (MAP: parametric only)."""
@@ -98,6 +89,8 @@ class BagConfig:
             raise ValueError("replicates must be at least 1")
         object.__setattr__(self, "replicates", replicates)
         object.__setattr__(self, "seed", Seed(self.seed).master)  # Seed range-checks it
+        if not isinstance(self.center_policy, CenterPolicy):
+            raise TypeError(f"expected a CenterPolicy, got {type(self.center_policy).__name__}")
         parametric = self.scheme.kind is SchemeKind.PARAMETRIC_BOOTSTRAP
         if self.center_policy is CenterPolicy.MAP and not parametric:
             raise ValueError("only the parametric scheme takes the MAP center")
@@ -133,12 +126,16 @@ class MixtureCdf:
     """
 
     def __init__(self, means, variances):
-        means, variances = np.array(means), np.array(variances)
+        given = (means, variances)
+        means, variances = map(np.array, given)
         if means.dtype.kind not in "iuf" or variances.dtype.kind not in "iuf":
             raise TypeError("means and variances must be integer or float arrays")
         means, variances = means.astype(float, copy=False), variances.astype(float, copy=False)
         if means.ndim != 1 or means.shape != variances.shape:
             raise ValueError("means and variances must be 1-d arrays of one length")
+        for values in given:
+            if isinstance(values, (list, tuple)):
+                _reals(*values)  # numpy would read a bool among numbers as 0 or 1
         if means.size == 0:
             raise ValueError("mixture needs at least one component")
         if not np.isfinite(means).all():
@@ -245,14 +242,6 @@ def credible_interval(dist_or_mix, level: float = DEFAULT_LEVEL) -> QuantilePair
     raise TypeError("expected NormalDist or MixtureCdf")
 
 
-def _resolve_center(
-    model: GaussianLocationModel, data: Dataset, policy: CenterPolicy
-) -> PointEstimate:
-    if policy is CenterPolicy.MAP:
-        return map_point_estimate(model, data)
-    return point_estimate(data)
-
-
 def bayesbag_mc(
     model: GaussianLocationModel,
     data: Dataset,
@@ -267,8 +256,7 @@ def bayesbag_mc(
     component ``b`` equals ``posterior(model, resample(..., Seed(cfg.seed,
     b)))`` bit for bit.
     """
-    center = _resolve_center(model, data, cfg.center_policy)
-    size, means = replicate_means(cfg.scheme, model, data, center, cfg.seed, cfg.replicates)
+    size, means = replicate_means(cfg.scheme, model, data, cfg.center_policy, cfg.seed, cfg.replicates)
     post_means, variance = _posterior_moments(model, size, means)
     return MixtureCdf(post_means, np.full(cfg.replicates, variance))
 
@@ -284,7 +272,7 @@ def bayesbag_exact(
     variances: the bag is N(law.mean, posterior.variance + law.variance).
     """
     post = posterior(model, data)
-    center = _resolve_center(model, data, center_policy)
+    center = _center(center_policy, model, data)
     law_mean, law_variance = _bootstrap_mean_moments(model, data.n, center)
     return NormalDist(law_mean, post.variance + law_variance)
 
@@ -319,7 +307,7 @@ def bayesbag_quadrature(
     if math.isnan(u):
         raise ValueError("non-finite input")
     post = posterior(model, data)
-    law = _bootstrap_mean_moments(model, data.n, _resolve_center(model, data, center_policy))
+    law = _bootstrap_mean_moments(model, data.n, _center(center_policy, model, data))
     value = _gauss_hermite_cdf(u, post.sd, *law, _QUADRATURE_NODES)
     coarse = _gauss_hermite_cdf(u, post.sd, *law, _QUADRATURE_NODES // 2)
     residual = abs(value - coarse)

@@ -20,7 +20,6 @@ from .bagging import (
     DEFAULT_SEED,
     RESOLUTION_ULPS,
     BagConfig,
-    CenterPolicy,
     bayesbag_exact,
     bayesbag_mc,
     credible_interval,
@@ -32,7 +31,7 @@ from .diagnostics import (
     make_report,
 )
 from .model import Dataset, GaussianLocationModel, np, posterior
-from .resampling import ResampleScheme, SchemeKind, Seed
+from .resampling import CenterPolicy, ResampleScheme, SchemeKind, Seed
 
 __all__ = [
     "read_observations",

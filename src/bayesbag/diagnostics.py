@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from .bagging import (
     DEFAULT_LEVEL,
     BagConfig,
-    CenterPolicy,
     MixtureCdf,
     QuantilePair,
     _component_values,
@@ -17,7 +16,7 @@ from .bagging import (
     credible_interval,
 )
 from .model import Dataset, GaussianLocationModel, NormalDist, _count, _normal_cdf, np, posterior
-from .resampling import SchemeKind
+from .resampling import CenterPolicy, SchemeKind
 
 __all__ = [
     "GridSpec",

@@ -19,7 +19,8 @@ reused generator.  The index schemes (nonparametric and subsample) sum
 each replicate exactly in integers, from its draw counts and the
 observations' integer limbs, and round once, which is ``fsum``'s result.
 :meth:`Seed.rng` and :func:`resample` stay the reference path that this
-reproduces bit for bit.
+reproduces bit for bit.  The parametric bootstrap draws around the center
+a :class:`CenterPolicy` names, which :func:`_center` alone computes.
 """
 
 from __future__ import annotations
@@ -28,15 +29,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import Dataset, GaussianLocationModel, NormalDist, _count, _reals, np, posterior
+from .model import Dataset, GaussianLocationModel, NormalDist, _count, np, posterior
 
 __all__ = [
     "SchemeKind",
     "ResampleScheme",
+    "CenterPolicy",
     "Seed",
-    "PointEstimate",
-    "point_estimate",
-    "map_point_estimate",
     "resample",
     "bootstrap_mean_law",
 ]
@@ -61,6 +60,8 @@ class ResampleScheme:
     subsample_size: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, SchemeKind):
+            raise TypeError(f"expected a SchemeKind, got {type(self.kind).__name__}")
         if self.subsample_size is not None:
             if self.kind is not SchemeKind.SUBSAMPLE:
                 raise ValueError("only the subsample scheme takes a subsample size")
@@ -95,6 +96,22 @@ class ResampleScheme:
         return m
 
 
+class CenterPolicy(Enum):
+    """Which point estimate centers the parametric bootstrap."""
+
+    SAMPLE_MEAN = "mean"
+    MAP = "map"
+
+
+def _center(policy: CenterPolicy, model: GaussianLocationModel, data: Dataset) -> float:
+    """The center ``policy`` names: the sample mean, or the posterior mode (its mean here)."""
+    if not isinstance(policy, CenterPolicy):
+        raise TypeError(f"expected a CenterPolicy, got {type(policy).__name__}")
+    if policy is CenterPolicy.MAP:
+        return posterior(model, data).mean
+    return data.mean
+
+
 @dataclass(frozen=True)
 class Seed:
     """Master seed plus replicate index; identifies one random stream."""
@@ -118,29 +135,6 @@ class Seed:
         )
 
 
-@dataclass(frozen=True)
-class PointEstimate:
-    """Scalar location estimate used to center the parametric bootstrap."""
-
-    value: float
-
-    def __post_init__(self):
-        (value,) = _reals(self.value)
-        if not math.isfinite(value):
-            raise ValueError("point estimate must be finite")
-        object.__setattr__(self, "value", value)
-
-
-def point_estimate(data: Dataset) -> PointEstimate:
-    """Sample mean of the data."""
-    return PointEstimate(data.mean)
-
-
-def map_point_estimate(model: GaussianLocationModel, data: Dataset) -> PointEstimate:
-    """Posterior mode, which coincides with the posterior mean here."""
-    return PointEstimate(posterior(model, data).mean)
-
-
 def _positions(scheme: ResampleScheme, n: int, rng: np.random.Generator) -> np.ndarray:
     """Positions of the observations an index scheme draws from ``rng``."""
     if scheme.kind is SchemeKind.NONPARAMETRIC_BOOTSTRAP:
@@ -154,13 +148,13 @@ def _draws(
     scheme: ResampleScheme,
     model: GaussianLocationModel,
     values: np.ndarray,
-    center: PointEstimate,
+    center: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """One replicate's observations, drawn from ``rng`` (see :func:`resample`)."""
     n = values.shape[0]
     if scheme.kind is SchemeKind.PARAMETRIC_BOOTSTRAP:
-        return center.value + math.sqrt(model.sigma_sq) * rng.standard_normal(n)
+        return center + math.sqrt(model.sigma_sq) * rng.standard_normal(n)
     return values[_positions(scheme, n, rng)]
 
 
@@ -168,17 +162,19 @@ def resample(
     scheme: ResampleScheme,
     model: GaussianLocationModel,
     data: Dataset,
-    center: PointEstimate,
+    center_policy: CenterPolicy,
     seed: Seed,
 ) -> Dataset:
     """Generate one perturbed dataset.
 
     Nonparametric bootstrap: n draws with replacement from the observations.
-    Parametric bootstrap: n i.i.d. normal draws with mean ``center.value``
-    and variance ``model.sigma_sq``.  Subsample: m distinct observations
-    drawn without replacement.  Deterministic given ``seed``.
+    Parametric bootstrap: n i.i.d. normal draws with the mean that
+    ``center_policy`` names and variance ``model.sigma_sq``.  Subsample: m
+    distinct observations drawn without replacement.  Deterministic given
+    ``seed``.
     """
     values = np.asarray(data.observations)
+    center = _center(center_policy, model, data)
     return Dataset(tuple(_draws(scheme, model, values, center, seed.rng()).tolist()))
 
 
@@ -239,35 +235,33 @@ def _stream_states(master: int, start: int, stop: int):
     ``np.random.default_rng(np.random.SeedSequence((master, b)))``; ``master``
     is below 2**64.
     """
-    for lo, hi in ((start, min(stop, 2**32)), (max(start, 2**32), stop)):
-        if lo >= hi:
-            continue
-        indices = np.arange(lo, hi, dtype=np.uint64)
-        entropy = [np.full_like(indices, word) for word in _words(master)]
-        entropy += [indices & _MASK32] + ([indices >> _WORD] if lo >= 2**32 else [])
-        entropy += [np.zeros_like(indices)] * (4 - len(entropy))
-        pool = [_hashmix(word, call) for call, word in enumerate(entropy)]
-        call = len(pool)
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], call))
-                    call += 1
-        words = []
-        for i in range(8):
-            word = (pool[i % 4] ^ _HASH_B[i]) * _HASH_B[i + 1] & _MASK32
-            words.append(word ^ word >> _SHIFT)
-        seed = [(words[2 * j] | words[2 * j + 1] << _WORD).tolist() for j in range(4)]
-        # pcg64_set_seed: two LCG steps from state 0, adding the seed in between
-        for state_hi, state_lo, inc_hi, inc_lo in zip(*seed):
-            inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-            state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULTIPLIER + inc) & _MASK128
-            yield {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+    indices = np.arange(start, stop, dtype=np.uint64)
+    # an index's high word of 0, which SeedSequence drops, hashes as its absent pool word
+    entropy = [np.full_like(indices, word) for word in _words(master)]
+    entropy += [indices & _MASK32, indices >> _WORD]
+    entropy += [np.zeros_like(indices)] * (4 - len(entropy))
+    pool = [_hashmix(word, call) for call, word in enumerate(entropy)]
+    call = len(pool)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], call))
+                call += 1
+    words = []
+    for i in range(8):
+        word = (pool[i % 4] ^ _HASH_B[i]) * _HASH_B[i + 1] & _MASK32
+        words.append(word ^ word >> _SHIFT)
+    seed = [(words[2 * j] | words[2 * j + 1] << _WORD).tolist() for j in range(4)]
+    # pcg64_set_seed: two LCG steps from state 0, adding the seed in between
+    for state_hi, state_lo, inc_hi, inc_lo in zip(*seed):
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULTIPLIER + inc) & _MASK128
+        yield {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
 
 # an observation's integer is split into signed limbs of 31 bits, so a
@@ -328,13 +322,13 @@ def replicate_means(
     scheme: ResampleScheme,
     model: GaussianLocationModel,
     data: Dataset,
-    center: PointEstimate,
+    center_policy: CenterPolicy,
     master: int,
     replicates: int,
 ) -> tuple[int, np.ndarray]:
     """Size and ``fsum`` mean of replicates ``0 .. replicates-1`` of ``master``.
 
-    Element ``b`` equals ``resample(scheme, model, data, center,
+    Element ``b`` equals ``resample(scheme, model, data, center_policy,
     Seed(master, b)).mean`` bit for bit, and every replicate has the same
     size.  Raises ``ValueError`` when a replicate's sum overflows or its
     mean is not finite.
@@ -348,6 +342,7 @@ def replicate_means(
     or sums the limbs cannot hold, sum the draws with ``fsum``.
     """
     master = Seed(master).master
+    center = _center(center_policy, model, data)
     values = np.asarray(data.observations)
     n = values.shape[0]
     size = scheme.subsample_size_for(n) if scheme.kind is SchemeKind.SUBSAMPLE else n
@@ -377,28 +372,30 @@ def replicate_means(
     return size, means
 
 
-def _bootstrap_mean_moments(model: GaussianLocationModel, n: int, center: PointEstimate):
+def _bootstrap_mean_moments(model: GaussianLocationModel, n: int, center: float):
     """``(mean, variance)`` of :func:`bootstrap_mean_law` for ``n`` observations.
 
     The variance underflows to 0 when ``n + sigma_sq / tau_sq`` is huge;
     the bagged variance adds the positive posterior variance, so it never does.
     """
     shrink = n + model.sigma_sq / model.tau_sq
-    return n * center.value / shrink, n * model.sigma_sq / (shrink * shrink)
+    return n * center / shrink, n * model.sigma_sq / (shrink * shrink)
 
 
 def bootstrap_mean_law(
-    model: GaussianLocationModel, data: Dataset, center: PointEstimate
+    model: GaussianLocationModel,
+    data: Dataset,
+    center_policy: CenterPolicy = CenterPolicy.SAMPLE_MEAN,
 ) -> NormalDist:
     """Law of the replicate-posterior mean under the parametric bootstrap.
 
-    With replicate data drawn i.i.d. N(center, sigma_sq), the replicate
-    sample mean is N(center, sigma_sq / n) and the posterior mean computed
-    from it is normal with
+    With replicate data drawn i.i.d. N(center, sigma_sq) around the center
+    ``center_policy`` names, the replicate sample mean is N(center, sigma_sq / n)
+    and the posterior mean computed from it is normal with
 
         mean     = n * center / (n + sigma_sq / tau_sq)
         variance = n * sigma_sq / (n + sigma_sq / tau_sq)^2
 
     Raises ``ValueError`` when that variance underflows to 0.
     """
-    return NormalDist(*_bootstrap_mean_moments(model, data.n, center))
+    return NormalDist(*_bootstrap_mean_moments(model, data.n, _center(center_policy, model, data)))

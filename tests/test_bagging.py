@@ -2,6 +2,8 @@
 
 import collections
 import math
+import random
+import statistics
 
 import numpy as np
 import pytest
@@ -16,18 +18,17 @@ from bayesbag import (
     NormalDist,
     QuantilePair,
     ResampleScheme,
+    SchemeKind,
     Seed,
     bayesbag_exact,
     bayesbag_mc,
     bayesbag_quadrature,
     bootstrap_mean_law,
     credible_interval,
-    map_point_estimate,
     mixture_cdf_eval,
     mixture_quantile,
     normal_cdf,
     normal_quantile,
-    point_estimate,
     posterior,
     resample,
 )
@@ -102,9 +103,7 @@ class TestBayesbagExact:
     def test_map_centering_shifts_mean(self):
         bag = bayesbag_exact(MODEL, DATA_1, CenterPolicy.MAP)
         shrink = 1 + MODEL.sigma_sq / MODEL.tau_sq
-        assert bag.mean == pytest.approx(
-            map_point_estimate(MODEL, DATA_1).value / shrink, abs=1e-12
-        )
+        assert bag.mean == pytest.approx(posterior(MODEL, DATA_1).mean / shrink, abs=1e-12)
         assert bag.variance == bayesbag_exact(MODEL, DATA_1).variance
 
 
@@ -258,9 +257,7 @@ class TestBayesbagMc:
         mix = bayesbag_mc(MODEL, DATA_10, cfg)
         expected = posterior(
             MODEL,
-            resample(
-                cfg.scheme, MODEL, DATA_10, point_estimate(DATA_10), Seed(123, 0)
-            ),
+            resample(cfg.scheme, MODEL, DATA_10, CenterPolicy.SAMPLE_MEAN, Seed(123, 0)),
         )
         assert mix.components == (expected,)
 
@@ -275,7 +272,7 @@ class TestBayesbagMc:
         serial = bayesbag_mc(MODEL, DATA_10, cfg)
         again = bayesbag_mc(MODEL, DATA_10, cfg)
         assert serial.components == again.components
-        center = point_estimate(DATA_10)
+        center = CenterPolicy.SAMPLE_MEAN
         for b in reversed(range(cfg.replicates)):
             replicate = resample(cfg.scheme, MODEL, DATA_10, center, Seed(cfg.seed, b))
             assert serial.components[b] == posterior(MODEL, replicate)
@@ -296,11 +293,8 @@ class TestBayesbagMc:
         cfg = BagConfig(replicates=64, scheme=scheme, seed=2718, center_policy=policy)
         mix = bayesbag_mc(MODEL, data, cfg)
         assert len(mix) == cfg.replicates
-        center = (
-            map_point_estimate(MODEL, data) if policy is CenterPolicy.MAP else point_estimate(data)
-        )
         for b in range(cfg.replicates):
-            post = posterior(MODEL, resample(scheme, MODEL, data, center, Seed(cfg.seed, b)))
+            post = posterior(MODEL, resample(scheme, MODEL, data, policy, Seed(cfg.seed, b)))
             assert mix.means[b] == post.mean
             assert mix.sds[b] == post.sd
 
@@ -350,9 +344,7 @@ class TestBayesbagMc:
         mix = bayesbag_mc(MODEL, DATA_10, cfg)
         expected_first = posterior(
             MODEL,
-            resample(
-                cfg.scheme, MODEL, DATA_10, map_point_estimate(MODEL, DATA_10), Seed(9, 0)
-            ),
+            resample(cfg.scheme, MODEL, DATA_10, CenterPolicy.MAP, Seed(9, 0)),
         )
         assert mix.components[0] == expected_first
 
@@ -439,7 +431,7 @@ class TestConfigAndTypes:
         # independent derivation check: integral of the posterior CDF against
         # the replicate-mean density, by brute-force quadrature over r
         post = posterior(MODEL, DATA_10)
-        law = bootstrap_mean_law(MODEL, DATA_10, point_estimate(DATA_10))
+        law = bootstrap_mean_law(MODEL, DATA_10, CenterPolicy.SAMPLE_MEAN)
         bag = bayesbag_exact(MODEL, DATA_10)
         rs = np.linspace(law.mean - 10 * law.sd, law.mean + 10 * law.sd, 40001)
         for u in (0.0, 0.71, 1.5):
@@ -451,3 +443,88 @@ class TestConfigAndTypes:
             ]
             brute = np.trapezoid(integrand, rs)
             assert brute == pytest.approx(normal_cdf(u, bag), abs=1e-8)
+
+
+# The Monte Carlo bag of an index scheme has no closed form.  Its replicate
+# posterior mean is close to normal, so the bag is close to
+# N(law mean, posterior variance + law variance), and the interval ends sit
+# within the Monte Carlo error of a B-component mixture quantile, plus the
+# Cornish-Fisher skewness shift and a small allowance for higher moments.
+# The law, the error and the bound are those of the benchmark's checks.
+STD_NORMAL = statistics.NormalDist()
+MC_SE_MULTIPLE = 5.0
+MC_APPROX_REL = 5e-4
+LAW_NODES = np.linspace(-9.0, 9.0, 3601)
+LAW_WEIGHTS = np.array([STD_NORMAL.pdf(x) for x in LAW_NODES])
+LAW_WEIGHTS /= LAW_WEIGHTS.sum()
+B_INTERVAL = 4000
+
+
+def replicate_law(data, scheme):
+    """Size, normal law and Cornish-Fisher quantile shift of the replicate posterior mean.
+
+    Nonparametric bootstrap: the replicate mean has variance m2 / n and
+    third central moment m3 / n^2.  Subsample of m without replacement:
+    variance (m2 / m)(n - m)/(n - 1) and third moment
+    m3 (n - m)(n - 2m) / (m^2 (n - 1)(n - 2)).
+    """
+    x = np.array(data.observations)
+    n = data.n
+    m2, m3 = np.mean((x - data.mean) ** 2), np.mean((x - data.mean) ** 3)
+    if scheme.kind is SchemeKind.NONPARAMETRIC_BOOTSTRAP:
+        size, var, mu3 = n, m2 / n, m3 / n**2
+    else:
+        size = scheme.subsample_size_for(n)
+        var = m2 / size * (n - size) / (n - 1)
+        mu3 = m3 * (n - size) * (n - 2 * size) / (size**2 * (n - 1) * (n - 2))
+    scale = size / (size + MODEL.sigma_sq / MODEL.tau_sq)
+    law = statistics.NormalDist(scale * data.mean, scale * math.sqrt(var))
+    z = STD_NORMAL.inv_cdf(0.975)
+    return size, law, law.stdev * mu3 / var**1.5 * (z * z - 1.0) / 6.0
+
+
+def mc_quantile_se(post_sd, law, p, replicates):
+    """Standard error of the p-quantile of a mixture of N(r, post_sd^2), r drawn from ``law``.
+
+    The mixture CDF at the exact quantile q is a mean of B values
+    Phi((q - r) / post_sd); the delta method divides its standard error by
+    the bag density at q.
+    """
+    bag = statistics.NormalDist(law.mean, math.sqrt(post_sd**2 + law.variance))
+    q = bag.inv_cdf(p)
+    values = np.array([STD_NORMAL.cdf((q - law.mean - law.stdev * x) / post_sd) for x in LAW_NODES])
+    mean = float(LAW_WEIGHTS @ values)
+    var = max(float(LAW_WEIGHTS @ (values - mean) ** 2), 0.0)
+    return math.sqrt(var / replicates) / bag.pdf(q)
+
+
+@pytest.fixture(scope="module")
+def normal_samples():
+    rng = random.Random(20140519)
+    return {n: Dataset(tuple(rng.gauss(0.8, 1.0) for _ in range(n))) for n in (100, 1000)}
+
+
+class TestIndexSchemeInterval:
+    @pytest.mark.parametrize(
+        "n, scheme, seed",
+        [
+            (100, ResampleScheme.nonparametric(), 31),
+            (1000, ResampleScheme.nonparametric(), 32),
+            (100, ResampleScheme.subsample(), 33),
+            (1000, ResampleScheme.subsample(), 34),
+            (100, ResampleScheme.subsample(7), 35),
+        ],
+        ids=["nonparametric-100", "nonparametric-1000", "subsample-100", "subsample-1000",
+             "subsample-m7-100"],
+    )
+    def test_bagged_interval_within_monte_carlo_error_of_law(self, normal_samples, n, scheme, seed):
+        data = normal_samples[n]
+        size, law, shift = replicate_law(data, scheme)
+        post_sd = posterior(MODEL, Dataset((0.0,) * size)).sd
+        got = credible_interval(bayesbag_mc(MODEL, data, BagConfig(B_INTERVAL, scheme, seed)))
+        bag = statistics.NormalDist(law.mean, math.sqrt(post_sd**2 + law.variance))
+        want = (bag.inv_cdf(0.025), bag.inv_cdf(0.975))
+        for end, p, want_end in ((got.lo, 0.025, want[0]), (got.hi, 0.975, want[1])):
+            se = mc_quantile_se(post_sd, law, p, B_INTERVAL)
+            tol = MC_SE_MULTIPLE * se + abs(shift) + MC_APPROX_REL * (want[1] - want[0])
+            assert abs(end - want_end) <= tol

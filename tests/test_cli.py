@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import bayesbag
 from bayesbag import (
     BagConfig,
+    CenterPolicy,
     Dataset,
     GaussianLocationModel,
     GridSpec,
@@ -26,7 +27,6 @@ from bayesbag import (
     credible_interval,
     make_report,
     normal_cdf,
-    point_estimate,
     posterior,
     resample,
 )
@@ -329,7 +329,7 @@ class TestBag:
         # 0 must not be the data's own draws shifted by a constant
         assert main(["bag", "--synthetic-n", "25", "--out", str(tmp_path)]) == 0
         data = read_observations(tmp_path / "data.csv")
-        replicate = resample(ResampleScheme.parametric(), MODEL, data, point_estimate(data), Seed(42, 0))
+        replicate = resample(ResampleScheme.parametric(), MODEL, data, CenterPolicy.SAMPLE_MEAN, Seed(42, 0))
         assert abs(np.corrcoef(data.observations, replicate.observations)[0, 1]) < 0.9
 
     def test_level_round_trips_through_report(self, tmp_path, capsys):

@@ -8,16 +8,14 @@ from hypothesis import event, example, given, settings, strategies as st
 
 from bayesbag import resampling
 from bayesbag import (
+    CenterPolicy,
     Dataset,
     GaussianLocationModel,
-    PointEstimate,
     ResampleScheme,
     SchemeKind,
     Seed,
     bootstrap_mean_law,
-    map_point_estimate,
     normal_cdf,
-    point_estimate,
     resample,
 )
 
@@ -27,25 +25,21 @@ DATA_10 = Dataset((0.72775,) * 10)
 
 
 def test_point_estimate_examples():
-    assert point_estimate(DATA_1).value == 1.325
-    assert point_estimate(Dataset((0.0, 0.0, 0.0, 0.0))).value == 0.0
-    assert point_estimate(DATA_10).value == pytest.approx(0.72775, abs=1e-15)
+    mean = CenterPolicy.SAMPLE_MEAN
+    assert resampling._center(mean, MODEL, DATA_1) == 1.325
+    assert resampling._center(mean, MODEL, Dataset((0.0, 0.0, 0.0, 0.0))) == 0.0
+    assert resampling._center(mean, MODEL, DATA_10) == pytest.approx(0.72775, abs=1e-15)
 
 
 def test_map_point_estimate_examples():
-    assert map_point_estimate(MODEL, DATA_1).value == pytest.approx(1.06, abs=1e-12)
-    assert map_point_estimate(MODEL, DATA_10).value == pytest.approx(0.71, abs=1e-12)
+    assert resampling._center(CenterPolicy.MAP, MODEL, DATA_1) == pytest.approx(1.06, abs=1e-12)
+    assert resampling._center(CenterPolicy.MAP, MODEL, DATA_10) == pytest.approx(0.71, abs=1e-12)
 
 
 def test_map_flat_prior_limit():
     flat = GaussianLocationModel(tau_sq=1e12, sigma_sq=1.0)
-    estimate = map_point_estimate(flat, DATA_1).value
+    estimate = resampling._center(CenterPolicy.MAP, flat, DATA_1)
     assert estimate == pytest.approx(1.325, rel=1e-9)
-
-
-def test_point_estimate_must_be_finite():
-    with pytest.raises(ValueError, match="finite"):
-        PointEstimate(math.inf)
 
 
 class TestSeed:
@@ -72,7 +66,7 @@ class TestSeed:
 class TestResample:
     def test_deterministic(self):
         scheme = ResampleScheme.parametric()
-        center = point_estimate(DATA_10)
+        center = CenterPolicy.SAMPLE_MEAN
         first = resample(scheme, MODEL, DATA_10, center, Seed(11, 2))
         second = resample(scheme, MODEL, DATA_10, center, Seed(11, 2))
         assert first == second
@@ -80,14 +74,14 @@ class TestResample:
     def test_full_subsample_is_permutation(self):
         data = Dataset((1.0, 2.0, 3.0, 4.0, 5.0))
         out = resample(
-            ResampleScheme.subsample(5), MODEL, data, point_estimate(data), Seed(0, 0)
+            ResampleScheme.subsample(5), MODEL, data, CenterPolicy.SAMPLE_MEAN, Seed(0, 0)
         )
         assert sorted(out.observations) == sorted(data.observations)
 
     def test_default_subsample_size_is_half_rounded_up(self):
         data = Dataset((1.0, 2.0, 3.0, 4.0, 5.0))
         out = resample(
-            ResampleScheme.subsample(), MODEL, data, point_estimate(data), Seed(0, 0)
+            ResampleScheme.subsample(), MODEL, data, CenterPolicy.SAMPLE_MEAN, Seed(0, 0)
         )
         assert out.n == 3
         assert set(out.observations) <= set(data.observations)
@@ -95,13 +89,13 @@ class TestResample:
     def test_subsample_larger_than_data(self):
         with pytest.raises(ValueError, match="subsample larger than data"):
             resample(
-                ResampleScheme.subsample(2), MODEL, DATA_1, point_estimate(DATA_1), Seed(0, 0)
+                ResampleScheme.subsample(2), MODEL, DATA_1, CenterPolicy.SAMPLE_MEAN, Seed(0, 0)
             )
 
     def test_nonparametric_single_point_is_identity(self):
         for b in range(5):
             out = resample(
-                ResampleScheme.nonparametric(), MODEL, DATA_1, point_estimate(DATA_1), Seed(3, b)
+                ResampleScheme.nonparametric(), MODEL, DATA_1, CenterPolicy.SAMPLE_MEAN, Seed(3, b)
             )
             assert out == DATA_1
 
@@ -110,14 +104,14 @@ class TestResample:
         atoms = set(data.observations)
         for b in range(20):
             out = resample(
-                ResampleScheme.nonparametric(), MODEL, data, point_estimate(data), Seed(17, b)
+                ResampleScheme.nonparametric(), MODEL, data, CenterPolicy.SAMPLE_MEAN, Seed(17, b)
             )
             assert out.n == data.n
             assert set(out.observations) <= atoms
 
     def test_parametric_grand_mean(self):
-        # E[replicate sample mean] is the centering value
-        center = PointEstimate(0.71)
+        # E[replicate sample mean] is the centering value, here the MAP 0.71
+        center = CenterPolicy.MAP
         means = [
             resample(ResampleScheme.parametric(), MODEL, DATA_10, center, Seed(99, b)).mean
             for b in range(10_000)
@@ -134,11 +128,11 @@ class TestReplicateMeans:
             (ResampleScheme.subsample(), 3),
         ):
             size, means = resampling.replicate_means(
-                scheme, MODEL, data, point_estimate(data), 17, 30
+                scheme, MODEL, data, CenterPolicy.SAMPLE_MEAN, 17, 30
             )
             assert size == expected_size
             for b in range(30):
-                out = resample(scheme, MODEL, data, point_estimate(data), Seed(17, b))
+                out = resample(scheme, MODEL, data, CenterPolicy.SAMPLE_MEAN, Seed(17, b))
                 assert out.n == size
                 assert means[b] == out.mean
 
@@ -147,7 +141,7 @@ class TestReplicateMeans:
         data = Dataset((1e308, -1e308))
         with pytest.raises(ValueError, match="overflows"):
             resampling.replicate_means(
-                ResampleScheme.nonparametric(), MODEL, data, point_estimate(data), 1, 20
+                ResampleScheme.nonparametric(), MODEL, data, CenterPolicy.SAMPLE_MEAN, 1, 20
             )
 
     def test_non_finite_replicate_mean_is_value_error(self, monkeypatch):
@@ -156,7 +150,7 @@ class TestReplicateMeans:
         monkeypatch.setattr(resampling, "_draws", lambda *args: np.array([math.inf, 1.0]))
         with pytest.raises(ValueError, match="non-finite"):
             resampling.replicate_means(
-                ResampleScheme.parametric(), MODEL, DATA_10, point_estimate(DATA_10), 1, 3
+                ResampleScheme.parametric(), MODEL, DATA_10, CenterPolicy.SAMPLE_MEAN, 1, 3
             )
 
 
@@ -274,7 +268,7 @@ class TestLimbSums:
     @example(values=[1e308, -1e308, 1e308], scheme=ResampleScheme.nonparametric())
     def test_replicate_means_equal_resample_path(self, values, scheme):
         data = Dataset(tuple(values))
-        center = point_estimate(data)
+        center = CenterPolicy.SAMPLE_MEAN
         try:
             expected = [resample(scheme, MODEL, data, center, Seed(3, b)).mean for b in range(8)]
         except ValueError:  # a replicate's sum overflows
@@ -291,7 +285,7 @@ B_DIST = 10_000
 
 @pytest.fixture(scope="module")
 def replicate_means():
-    center = point_estimate(DATA_10)
+    center = CenterPolicy.SAMPLE_MEAN
     scheme = ResampleScheme.parametric()
     means = np.array(
         [
@@ -304,10 +298,10 @@ def replicate_means():
 
 class TestParametricDistribution:
     def test_mean_and_variance_converge(self, replicate_means):
-        center, means = replicate_means
+        _, means = replicate_means
         n = DATA_10.n
         se_mean = math.sqrt(MODEL.sigma_sq / n / B_DIST)
-        assert means.mean() == pytest.approx(center.value, abs=3 * se_mean)
+        assert means.mean() == pytest.approx(DATA_10.mean, abs=3 * se_mean)
         target_var = MODEL.sigma_sq / n
         se_var = target_var * math.sqrt(2.0 / (B_DIST - 1))
         assert means.var(ddof=1) == pytest.approx(target_var, abs=3 * se_var)
@@ -360,7 +354,7 @@ class TestIndexSchemeLaw:
             m = scheme.subsample_size_for(n)
             variance = m2 / m * (n - m) / (n - 1)
             third = m3 * (n - m) * (n - 2 * m) / (m**2 * (n - 1) * (n - 2))
-        center = point_estimate(SKEWED)
+        center = CenterPolicy.SAMPLE_MEAN
         size, means = resampling.replicate_means(scheme, MODEL, SKEWED, center, seed, B_LAW)
         assert size == m
         deviation = means - xbar
@@ -371,18 +365,18 @@ class TestIndexSchemeLaw:
 
 class TestBootstrapMeanLaw:
     def test_single_observation(self):
-        law = bootstrap_mean_law(MODEL, DATA_1, point_estimate(DATA_1))
+        law = bootstrap_mean_law(MODEL, DATA_1, CenterPolicy.SAMPLE_MEAN)
         assert law.mean == pytest.approx(1.06, abs=1e-12)
         assert law.variance == pytest.approx(0.64, abs=1e-12)
 
     def test_ten_observations(self):
-        law = bootstrap_mean_law(MODEL, DATA_10, point_estimate(DATA_10))
+        law = bootstrap_mean_law(MODEL, DATA_10, CenterPolicy.SAMPLE_MEAN)
         assert law.mean == pytest.approx(0.71, abs=1e-12)
         assert law.variance == pytest.approx(10.0 / 10.25**2, abs=1e-15)
 
     def test_noiseless_limit_concentrates(self):
         quiet = GaussianLocationModel(tau_sq=4.0, sigma_sq=1e-12)
-        law = bootstrap_mean_law(quiet, DATA_10, point_estimate(DATA_10))
+        law = bootstrap_mean_law(quiet, DATA_10, CenterPolicy.SAMPLE_MEAN)
         assert law.variance < 1e-12
 
 

@@ -16,23 +16,27 @@ from bayesbag import (
     GridSpec,
     MixtureCdf,
     NormalDist,
-    PointEstimate,
     QuantilePair,
     ResampleScheme,
     SchemeKind,
     Seed,
+    bayesbag_exact,
+    bayesbag_quadrature,
+    bootstrap_mean_law,
+    evaluation_grid,
+    resample,
 )
 from bayesbag.bagging import DEFAULT_LEVEL
 from bayesbag.cli import build_parser
 
 PUBLIC_NAMES = {
     "BagConfig", "BagReport", "CdfBand", "CenterPolicy", "Dataset",
-    "GaussianLocationModel", "GridSpec", "MixtureCdf", "NormalDist", "PointEstimate",
+    "GaussianLocationModel", "GridSpec", "MixtureCdf", "NormalDist",
     "QuantilePair", "ResampleScheme", "SchemeKind", "Seed", "bagged_cdf_curves",
     "bayesbag_exact", "bayesbag_mc", "bayesbag_quadrature", "bootstrap_mean_law",
     "build_band", "credible_interval", "evaluation_grid", "make_report",
-    "map_point_estimate", "mixture_cdf_eval", "mixture_quantile", "normal_cdf",
-    "normal_pdf", "normal_quantile", "point_estimate", "posterior", "resample",
+    "mixture_cdf_eval", "mixture_quantile", "normal_cdf",
+    "normal_pdf", "normal_quantile", "posterior", "resample",
 }
 
 
@@ -112,10 +116,11 @@ def test_integer_fields_take_numpy_integers_as_ints():
         lambda: Dataset((1.5, np.True_)),
         lambda: NormalDist("0", True),
         lambda: NormalDist(0.0, b"1"),
-        lambda: PointEstimate("1.5"),
         lambda: QuantilePair(False, 1.0),
         lambda: MixtureCdf(["1.0", "2"], [True, "0.5"]),
         lambda: MixtureCdf([1.0, 2.0], [True, True]),
+        lambda: MixtureCdf([1.0, True], [1.0, 1.0]),
+        lambda: MixtureCdf((1.0, 2.0), (1.0, np.True_)),
         lambda: BagConfig(replicates=True),
         lambda: Seed(False),
         lambda: Seed(7, True),
@@ -124,12 +129,40 @@ def test_integer_fields_take_numpy_integers_as_ints():
     ],
     ids=[
         "model-str-bool", "dataset-str-bool", "dataset-numpy-bool", "normal-str-bool",
-        "normal-bytes", "point-estimate-str", "quantile-pair-bool", "mixture-str",
-        "mixture-bool-array", "replicates-bool", "seed-bool", "replicate-index-bool",
-        "grid-points-bool", "subsample-bool",
+        "normal-bytes", "quantile-pair-bool", "mixture-str", "mixture-bool-array",
+        "mixture-bool-in-list", "mixture-numpy-bool-in-tuple", "replicates-bool", "seed-bool",
+        "replicate-index-bool", "grid-points-bool", "subsample-bool",
     ],
 )
 def test_fields_refuse_strings_and_bools(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+MODEL = GaussianLocationModel(4.0, 1.0)
+DATA = Dataset((1.325,))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BagConfig(center_policy="map", scheme=ResampleScheme.nonparametric()),
+        lambda: BagConfig(center_policy=None),
+        lambda: ResampleScheme("subsample"),
+        lambda: bayesbag_exact(MODEL, DATA, "map"),
+        lambda: bayesbag_quadrature(MODEL, DATA, 0.0, "map"),
+        lambda: evaluation_grid(MODEL, DATA, center_policy="map"),
+        lambda: bootstrap_mean_law(MODEL, DATA, "mean"),
+        lambda: resample(ResampleScheme.parametric(), MODEL, DATA, "map", Seed(0)),
+    ],
+    ids=[
+        "config-center-str", "config-center-none", "scheme-kind-str", "exact-center-str",
+        "quadrature-center-str", "grid-center-str", "law-center-str", "resample-center-str",
+    ],
+)
+def test_enum_fields_refuse_non_members(build):
+    # the value of a member is not the member: "map" must not pass for the
+    # sample mean, nor an index scheme's name for the scheme
     with pytest.raises(TypeError):
         build()
 
@@ -140,10 +173,9 @@ def test_real_fields_take_numpy_scalars_as_floats():
         GaussianLocationModel(np.float32(4.0), np.int64(1)).sigma_sq,
         *Dataset((np.float64(1.5), np.int8(2), 3)).observations,
         NormalDist(np.uint16(3), np.float32(0.25)).variance,
-        PointEstimate(np.int64(-2)).value,
         QuantilePair(np.float32(-1.5), np.float64(1.5)).hi,
     ]
-    assert fields == [1.0, 1.5, 2.0, 3.0, 0.25, -2.0, 1.5]
+    assert fields == [1.0, 1.5, 2.0, 3.0, 0.25, 1.5]
     assert all(type(value) is float for value in fields)
     assert mix.means.tolist() == [1.0, 2.0] and mix.variances.tolist() == [0.5, 2.0]
 
@@ -182,3 +214,58 @@ def test_unused_import_guard_sees_an_unused_import():
 )
 def test_every_import_is_used(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(source: str) -> set[str]:
+    """Module-level ``_function``, ``_Class`` and ``_CONSTANT`` names that ``source`` defines."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                elts = target.elts if isinstance(target, ast.Tuple) else [target]
+                names |= {elt.id for elt in elts if isinstance(elt, ast.Name)}
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names ``source`` reads, imports or spells as a dotted string (a hook or patch target)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                names.update(parts)
+    return names
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted(Path(bayesbag.__file__).parent.glob("*.py"))
+READERS = SOURCES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+
+
+def test_private_name_guard_sees_an_unreferenced_name():
+    source = (Path(bayesbag.__file__).parent / "diagnostics.py").read_text(encoding="utf-8")
+    orphaned = source + "\n\ndef _orphan():\n    return _ORPHAN\n\n\n_ORPHAN = 1\n"
+    assert private_definitions(orphaned) - private_definitions(source) == {"_orphan", "_ORPHAN"}
+    assert "_orphan" not in referenced_names(orphaned)
+    assert "_ORPHAN" in referenced_names(orphaned)
+
+
+@pytest.mark.parametrize("module", SOURCES, ids=lambda path: path.name)
+def test_every_private_name_is_referenced(module):
+    # a private name that nothing reads is dead code; the companion of
+    # test_every_import_is_used
+    referenced = set().union(
+        *(referenced_names(path.read_text(encoding="utf-8")) for path in READERS)
+    )
+    defined = private_definitions(module.read_text(encoding="utf-8"))
+    assert sorted(defined - referenced) == []
