@@ -26,6 +26,7 @@ from .model import (
     NormalDist,
     _count,
     _normal_cdf,
+    _normal_pdf,
     _normal_quantile,
     _posterior_moments,
     _reals,
@@ -64,7 +65,7 @@ _QUANTILE_CDF_TOL = 1e-12
 # magnitude.  mixture_quantile stops at a relative bracket width of 1e-14,
 # which is 45 to 90 spacings; at 2**10 that stays below a tenth of an sd.
 # Below about one spacing the interval endpoints round together.  The same
-# margin over _QUANTILE_CDF_TOL bounds the level, so bisection resolves it.
+# margin over _QUANTILE_CDF_TOL bounds the level, so the quantile search resolves it.
 RESOLUTION_ULPS = 2**10
 _QUANTILE_REL_WIDTH = 1e-14
 _QUANTILE_MAX_ITER = 200
@@ -89,6 +90,8 @@ class BagConfig:
             raise ValueError("replicates must be at least 1")
         object.__setattr__(self, "replicates", replicates)
         object.__setattr__(self, "seed", Seed(self.seed).master)  # Seed range-checks it
+        if not isinstance(self.scheme, ResampleScheme):
+            raise TypeError(f"expected a ResampleScheme, got {type(self.scheme).__name__}")
         if not isinstance(self.center_policy, CenterPolicy):
             raise TypeError(f"expected a CenterPolicy, got {type(self.center_policy).__name__}")
         parametric = self.scheme.kind is SchemeKind.PARAMETRIC_BOOTSTRAP
@@ -178,17 +181,37 @@ def mixture_cdf_eval(mix: MixtureCdf, u: float) -> float:
     return float(_mixture_mean(_component_values(mix, np.array([u])))[0])
 
 
+def _moment_quantile(mix: MixtureCdf, p: float, lo: float, hi: float) -> float:
+    """The p-quantile of the normal with the mixture's mean and variance.
+
+    It is worked in units of the larger of the bracket's half-width and the
+    largest sd, where every component mean lies within about 40 units of
+    the bracket's center, so no sum or square overflows; the last step, in
+    Python floats, may give an infinity, which lies outside the bracket.
+    """
+    center = 0.5 * lo + 0.5 * hi
+    scale = max(0.5 * hi - 0.5 * lo, float(mix.sds.max()))
+    t = (0.5 * mix.means - 0.5 * center) / (0.5 * scale)
+    r = mix.sds / scale
+    mean, variance = float(t.mean()), float(t.var() + np.mean(r * r))
+    return center + scale * (mean + math.sqrt(variance) * _normal_quantile(p, 0.0, 1.0))
+
+
 def mixture_quantile(mix: MixtureCdf, p: float) -> float:
-    """Invert the mixture CDF by bisection.
+    """Invert the mixture CDF by Newton steps, safeguarded by bisection.
 
     The mixture CDF is monotone but has no closed-form inverse.  At the
     smallest component p-quantile it is at most ``p``, and at the largest at
     least ``p`` (up to about 1e-16 of rounding, far below the 1e-12 at which
-    bisection stops), so bisection between them converges to a point whose
-    CDF value is within 1e-9 of ``p``.  When every component has the same
-    float as its p-quantile, that float is returned without bisection, so B
+    the search stops), so a search between them converges to a point whose
+    CDF value is within 1e-9 of ``p``.  The first point is the p-quantile of
+    the moment-matched normal.  Each evaluation narrows the bracket, and the
+    next point is the Newton step ``x - (F(x) - p) / f(x)``, ``f`` the mean
+    of the component densities, when it lands strictly inside the bracket,
+    and the bracket's midpoint otherwise.  When every component has the same
+    float as its p-quantile, that float is returned without a search, so B
     identical replicates give the quantile of their common normal bit for
-    bit.  Bisection also stops when the bracket is narrower than 1e-14 of
+    bit.  The search also stops when the bracket is narrower than 1e-14 of
     its larger end, or holds no float between its ends, so the result does
     not depend on the data's scale.
     """
@@ -199,20 +222,24 @@ def mixture_quantile(mix: MixtureCdf, p: float) -> float:
     lo, hi = float(points.min()), float(points.max())
     if lo == hi:
         return lo  # every component's p-quantile, so the mixture's
+    x = _moment_quantile(mix, p, lo, hi)
     for _ in range(_QUANTILE_MAX_ITER):
-        mid = 0.5 * lo + 0.5 * hi
-        if mid == lo or mid == hi:
-            return mid
-        value = mixture_cdf_eval(mix, mid)
+        if not lo < x < hi:
+            x = 0.5 * lo + 0.5 * hi
+            if x == lo or x == hi:
+                return x
+        value = mixture_cdf_eval(mix, x)
         if abs(value - p) <= _QUANTILE_CDF_TOL:
-            return mid
+            return x
         if value < p:
-            lo = mid
+            lo = x
         else:
-            hi = mid
+            hi = x
         if hi - lo <= _QUANTILE_REL_WIDTH * max(abs(lo), abs(hi)):
             return 0.5 * lo + 0.5 * hi
-    return mid
+        density = float(_normal_pdf(x, mix.means, mix.sds).mean())
+        x = x - (value - p) / density if density > 0.0 else math.nan  # NaN: bisect
+    return 0.5 * lo + 0.5 * hi
 
 
 def credible_interval(dist_or_mix, level: float = DEFAULT_LEVEL) -> QuantilePair:

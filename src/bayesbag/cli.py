@@ -327,8 +327,9 @@ def cmd_curves(args) -> int:
     _check_count("--B/--grid-points", cfg.replicates * grid_spec.points)
     band = build_band(model, data, cfg, grid_spec)
 
-    # one block per curve: the grid template with the curve's id put in
-    template = _grid_template(band.grid, "{0},", 1)
+    # one block per curve: the grid template with the curve's id put in,
+    # split once at the id so that no curve parses the template again
+    pieces = _grid_template(band.grid, "{id},", 1).split("{id}")
     curves = itertools.chain(
         enumerate(band.per_replicate),
         ((MEAN_CURVE_ID, band.mean_curve), (POSTERIOR_CURVE_ID, band.posterior_curve)),
@@ -337,7 +338,7 @@ def cmd_curves(args) -> int:
     _write_csv(
         out / "curves.csv",
         "replicate_id,u,F",
-        (_fill(template.format(b), curve) for b, curve in curves),
+        (_fill(str(b).join(pieces), curve) for b, curve in curves),
     )
     if args.input is None:
         _write_dataset(out / "data.csv", data)

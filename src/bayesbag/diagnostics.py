@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
+import sys
 from dataclasses import dataclass
 
 from .bagging import (
@@ -32,6 +35,9 @@ DEFAULT_GRID_POINTS = 401
 # cells of the replicate-by-grid matrix held at once for a bagged curve:
 # 2**18 float64 cells are 2 MiB, whatever B and the grid size
 _CURVE_CHUNK_CELLS = 2**18
+# cells that each process keeps when a bagged curve is split across CPUs:
+# about 40 ms of _ndtr work, against 1-2 ms to fork a child (2-CPU Xeon VM)
+_SPLIT_MIN_CELLS = 2**20
 
 
 @dataclass(frozen=True)
@@ -152,7 +158,7 @@ def _normal_curve(dist: NormalDist, grid: np.ndarray) -> np.ndarray:
     return _normal_cdf(grid, dist.mean, dist.sd)
 
 
-def _mixture_curve(mix, grid: np.ndarray) -> np.ndarray:
+def _chunked_curve(mix, grid: np.ndarray) -> np.ndarray:
     """``_mixture_mean(_component_values(mix, grid))``, over column chunks of the grid.
 
     Every column is still reduced over all B rows in the same pairwise
@@ -164,6 +170,92 @@ def _mixture_curve(mix, grid: np.ndarray) -> np.ndarray:
         _mixture_mean(_component_values(mix, grid[i:i + step]))
         for i in range(0, grid.shape[0], step)
     ])
+
+
+def _usable_cpus() -> int:
+    """CPUs a bagged curve may be split across: 1 unless this is a single-threaded Linux process.
+
+    A forked child holds only the thread that forked it, so a lock that
+    another thread (a BLAS pool, say) held at the fork would never be
+    released in the child.
+    """
+    if sys.platform != "linux" or not hasattr(os, "fork"):
+        return 1
+    try:
+        if len(os.listdir("/proc/self/task")) == 1:
+            return len(os.sched_getaffinity(0))
+    except OSError:  # no /proc to count threads in
+        pass
+    return 1
+
+
+def _fork_curve(mix, grid: np.ndarray):
+    """``(pid, pipe)`` of a child writing ``_chunked_curve(mix, grid)`` to ``pipe``, or None if none started."""
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:  # the child: it answers through the pipe alone, and never returns
+        status = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                pipe.write(_chunked_curve(mix, grid).tobytes())
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    return pid, read
+
+
+def _collect(child, columns: int):
+    """The curve values a :func:`_fork_curve` child wrote, or None if it failed; it is reaped either way.
+
+    A child writes only once it has every value, so one that failed wrote
+    fewer bytes than ``columns`` float64 values.
+    """
+    if child is None:
+        return None
+    pid, read = child
+    try:
+        with open(read, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        with contextlib.suppress(ChildProcessError):  # reaped already where SIGCHLD is ignored
+            os.waitpid(pid, 0)
+    return np.frombuffer(data, dtype=float) if len(data) == 8 * columns else None
+
+
+def _mixture_curve(mix, grid: np.ndarray) -> np.ndarray:
+    """:func:`_chunked_curve`, split into contiguous column parts across CPUs when the grid is large.
+
+    Each part keeps at least ``_SPLIT_MIN_CELLS`` cells.  Forked children
+    evaluate every part but the first, which this process evaluates; it
+    then reads and reaps every child, and evaluates again the part of any
+    child that failed.  Every column is reduced by the same code, so the
+    curve, and any error, are those of a serial run.
+    """
+    min_columns = -(-_SPLIT_MIN_CELLS // len(mix))  # rounded up
+    parts = grid.shape[0] // min_columns
+    if parts > 1:
+        parts = min(parts, _usable_cpus())
+    if parts < 2:
+        return _chunked_curve(mix, grid)
+    first, *rest = np.array_split(grid, parts)
+    children = [_fork_curve(mix, part) for part in rest]
+    try:
+        curves = [_chunked_curve(mix, first)]
+    finally:
+        shares = [_collect(child, part.shape[0]) for child, part in zip(children, rest)]
+    for part, share in zip(rest, shares):
+        curves.append(_chunked_curve(mix, part) if share is None else share)
+    return np.concatenate(curves)
 
 
 def bagged_cdf_curves(model: GaussianLocationModel, data: Dataset, cfg: BagConfig):

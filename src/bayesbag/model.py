@@ -113,6 +113,8 @@ _ERFC_S = (
 )
 # past this z, exp(-z^2) and so erfc(z) underflow to 0
 _ERFC_ZERO_Z = 28.0
+# past this z, exp(-z^2 / 2) and so the normal density underflow to 0
+_PDF_ZERO_Z = 40.0
 
 # standard normal quantile of one probability in (0, 1); StatisticsError
 # outside it, which every caller rejects first
@@ -208,6 +210,16 @@ def _normal_cdf(u, mean, sd):
     (the upper tail rounds to 1 past ``a`` of about 8.3), elementwise.
     """
     return _ndtr((u - mean) / sd)
+
+
+def _normal_pdf(u, mean, sd):
+    """Normal density at ``u`` for broadcastable ``u``, ``mean`` and positive ``sd``, elementwise.
+
+    ``|z|`` is clipped at ``_PDF_ZERO_Z``, past which ``exp(-z^2 / 2)``
+    is 0 either way, so ``z^2`` cannot overflow.
+    """
+    z = np.minimum(np.abs((u - mean) / sd), _PDF_ZERO_Z)
+    return np.exp(-0.5 * z * z) / (sd * _SQRT_2PI)
 
 
 def _normal_quantile(p, mean, sd):
@@ -349,8 +361,7 @@ def normal_pdf(r: float, dist: NormalDist) -> float:
     r = float(r)
     if math.isnan(r):
         raise ValueError("non-finite input")
-    z = (r - dist.mean) / dist.sd
-    return math.exp(-0.5 * z * z) / (dist.sd * _SQRT_2PI)
+    return float(_normal_pdf(r, dist.mean, dist.sd))
 
 
 def normal_quantile(p: float, dist: NormalDist) -> float:

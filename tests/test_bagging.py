@@ -32,6 +32,7 @@ from bayesbag import (
     posterior,
     resample,
 )
+from bayesbag import bagging
 from bayesbag.bagging import _component_values, _mixture_mean
 
 MODEL = GaussianLocationModel(tau_sq=4.0, sigma_sq=1.0)
@@ -230,6 +231,25 @@ class TestMixtureQuantile:
         q = mixture_quantile(mix, 0.5)
         assert math.isfinite(q)
         assert 1e308 < q < 1.5e308
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [ResampleScheme.nonparametric(), ResampleScheme.subsample(), ResampleScheme.parametric()],
+        ids=["nonparametric", "subsample", "parametric"],
+    )
+    def test_few_cdf_evaluations_per_quantile(self, scheme, monkeypatch):
+        # a count, not a timing: Newton steps from the moment-matched start
+        # take 3 or 4 evaluations here, where bisection took 35 to 37
+        rng = random.Random(20140519)
+        data = Dataset(tuple(rng.gauss(0.6, 1.0) for _ in range(100)))
+        mix = bayesbag_mc(MODEL, data, BagConfig(10_000, scheme, seed=3))
+        evaluate, points = mixture_cdf_eval, []
+        monkeypatch.setattr(bagging, "mixture_cdf_eval", lambda mix, u: points.append(u) or evaluate(mix, u))
+        for p in (0.025, 0.5, 0.975):
+            points.clear()
+            q = mixture_quantile(mix, p)
+            assert 1 <= len(points) <= 8
+            assert abs(evaluate(mix, q) - p) <= 1e-12
 
     @pytest.mark.parametrize(
         "scheme",

@@ -40,6 +40,7 @@ from bayesbag.cli import (
     read_observations,
     synthetic_dataset,
 )
+from bayesbag import diagnostics
 from bayesbag.diagnostics import DEFAULT_GRID_POINTS
 
 MODEL = GaussianLocationModel(4.0, 1.0)
@@ -202,6 +203,36 @@ class TestTable1:
 
 
 class TestBag:
+    @pytest.mark.skipif(sys.platform != "linux", reason="the grid split is Linux-only")
+    def test_split_grid_writes_the_serial_bytes_and_leaves_no_child(self, tmp_path, capsys, monkeypatch):
+        # 6,000 replicates x 401 points make two parts of at least 2**20 cells;
+        # the fresh interpreter is single-threaded, so it splits on 2 or more CPUs
+        flags = ["bag", "--synthetic-n", "20", "--scheme", "nonparametric", "--B", "6000"]
+        code = (
+            "import os, sys\n"
+            "from bayesbag.cli import entrypoint\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(os.getpid()) or fork()\n"
+            "sys.argv = ['bayesbag', *sys.argv[1:]]\n"
+            "try:\n"
+            "    entrypoint()\n"
+            "except SystemExit as exit:\n"
+            "    assert exit.code == 0, exit.code\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('forks:', len(forks))\n"
+        )
+        split = run_python("-c", code, *flags, "--out", str(tmp_path / "split"))
+        assert split.returncode == 0, split.stderr
+        *lines, last = split.stdout.splitlines()
+        assert last == f"forks: {int(len(os.sched_getaffinity(0)) > 1)}"
+        monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: 1)
+        assert main([*flags, "--out", str(tmp_path / "serial")]) == 0
+        assert capsys.readouterr().out.splitlines() == lines
+        for name in ("report.csv", "cdf.csv", "data.csv"):
+            assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
     def test_single_value_file_matches_reference_row(self, tmp_path):
         data_file = tmp_path / "obs.csv"
         write_lines(data_file, ["1.325"])

@@ -1,6 +1,10 @@
 """Tests for CDF bands and raw-vs-bagged reports."""
 
 import math
+import os
+import signal
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -25,7 +29,8 @@ from bayesbag import (
     posterior,
 )
 from bayesbag.bagging import _component_values, _mixture_mean
-from bayesbag.diagnostics import _CURVE_CHUNK_CELLS, _mixture_curve
+from bayesbag import diagnostics
+from bayesbag.diagnostics import _CURVE_CHUNK_CELLS, _chunked_curve, _mixture_curve, _usable_cpus
 
 MODEL = GaussianLocationModel(tau_sq=4.0, sigma_sq=1.0)
 DATA_1 = Dataset((1.325,))
@@ -220,3 +225,115 @@ class TestChunkedBagCurve:
             tracemalloc.stop()
         assert curves[2].shape == (401,)
         assert peak < 8 * 2**20
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the grid split forks")
+# a 3.12+ interpreter warns on a fork while a BLAS pool runs; the children never use it
+@pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
+class TestSplitBagCurve:
+    """The bagged curve split across forked processes, with the split forced.
+
+    The threshold is set to 50 grid columns of the 1,000-replicate bag, and
+    the CPU count to 3, so a grid of 100 or more points is split in two and
+    one of 150 or more in three.
+    """
+
+    REPLICATES = 1000
+    COLUMNS = 50
+
+    @pytest.fixture
+    def mix(self):
+        varied = Dataset((0.2, 1.9, 0.7, 1.1, 0.5, 0.9, -0.4))
+        return bayesbag_mc(MODEL, varied, BagConfig(self.REPLICATES, ResampleScheme.nonparametric(), seed=8))
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Forces the split; the list returned collects the pid of each child forked."""
+        monkeypatch.setattr(diagnostics, "_SPLIT_MIN_CELLS", self.COLUMNS * self.REPLICATES)
+        monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: 3)
+        made, fork = [], os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                made.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        return made
+
+    @pytest.mark.parametrize("points, parts", [(99, 1), (100, 2), (149, 2), (150, 3), (401, 3)])
+    def test_equals_serial_bit_for_bit(self, mix, forks, points, parts):
+        grid = np.linspace(-3.0, 4.0, points)
+        curve = _mixture_curve(mix, grid)
+        assert len(forks) == parts - 1
+        assert curve.tobytes() == _chunked_curve(mix, grid).tobytes()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failure", ["raises", "killed"])
+    def test_failed_child_gives_the_serial_curve(self, mix, forks, monkeypatch, failure):
+        grid = np.linspace(-3.0, 4.0, 401)
+        serial = _chunked_curve(mix, grid)
+        parent, chunked = os.getpid(), _chunked_curve
+
+        def failing(mix, part):
+            if os.getpid() != parent:
+                if failure == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise MemoryError("child")
+            return chunked(mix, part)
+
+        monkeypatch.setattr(diagnostics, "_chunked_curve", failing)
+        assert _mixture_curve(mix, grid).tobytes() == serial.tobytes()
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_children_reaped_already_where_sigchld_is_ignored(self, mix, forks):
+        grid = np.linspace(-3.0, 4.0, 401)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            curve = _mixture_curve(mix, grid)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert len(forks) == 2
+        assert curve.tobytes() == _chunked_curve(mix, grid).tobytes()
+
+    @pytest.mark.parametrize("poisoned", [0, 1, 2], ids=["own-part", "first-child", "last-child"])
+    def test_error_in_a_part_is_the_serial_runs(self, mix, forks, monkeypatch, poisoned):
+        # every part from ``poisoned`` on fails, and a serial run raises the first one's error
+        grid = np.linspace(-3.0, 4.0, 150)
+        parts = np.array_split(grid, 3)
+        values = diagnostics._component_values
+
+        def poisoned_values(mix, chunk):
+            for index in range(poisoned, 3):
+                if np.isin(parts[index], chunk).any():
+                    raise FloatingPointError(f"part {index}")
+            return values(mix, chunk)
+
+        monkeypatch.setattr(diagnostics, "_component_values", poisoned_values)
+        with pytest.raises(FloatingPointError) as serial:
+            _chunked_curve(mix, grid)
+        with pytest.raises(FloatingPointError) as split:
+            _mixture_curve(mix, grid)
+        assert str(split.value) == str(serial.value) == f"part {poisoned}"
+        assert len(forks) == 2
+        assert_no_child_left()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the grid split is Linux-only")
+def test_no_split_while_another_thread_runs():
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert _usable_cpus() == 1
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()

@@ -17,7 +17,7 @@ from bayesbag import (
     normal_quantile,
     posterior,
 )
-from bayesbag.model import _KERNEL_BLOCK, _ndtr, _normal_quantile
+from bayesbag.model import _KERNEL_BLOCK, _ndtr, _normal_pdf, _normal_quantile
 
 MODEL = GaussianLocationModel(tau_sq=4.0, sigma_sq=1.0)
 
@@ -141,6 +141,17 @@ class TestNormalPdf:
         # a point mass has no density; it is refused when the NormalDist is built
         with pytest.raises(ValueError, match="variance must be finite and positive"):
             normal_pdf(0.0, NormalDist(0.0, 0.0))
+
+    def test_array_kernel_is_elementwise_and_cannot_overflow(self):
+        # z reaches 5e299, whose square would overflow; the density there is 0
+        u = np.array([-1e300, -80.0, -1.0, 0.5, 2.5, 1e200])
+        values = _normal_pdf(u, 0.5, 2.0)
+        dist = NormalDist(0.5, 4.0)
+        assert values.tolist() == [normal_pdf(x, dist) for x in u.tolist()]
+        expected = [math.exp(-0.5 * ((x - 0.5) / 2.0) ** 2) / (2.0 * math.sqrt(2.0 * math.pi))
+                    for x in u[1:-1].tolist()]
+        assert values[1:-1] == pytest.approx(expected, rel=1e-15)
+        assert values[0] == values[-1] == 0.0
 
 
 class TestNormalQuantile:

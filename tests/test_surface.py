@@ -148,6 +148,8 @@ DATA = Dataset((1.325,))
     [
         lambda: BagConfig(center_policy="map", scheme=ResampleScheme.nonparametric()),
         lambda: BagConfig(center_policy=None),
+        lambda: BagConfig(scheme="parametric"),
+        lambda: BagConfig(scheme=SchemeKind.SUBSAMPLE),
         lambda: ResampleScheme("subsample"),
         lambda: bayesbag_exact(MODEL, DATA, "map"),
         lambda: bayesbag_quadrature(MODEL, DATA, 0.0, "map"),
@@ -156,7 +158,8 @@ DATA = Dataset((1.325,))
         lambda: resample(ResampleScheme.parametric(), MODEL, DATA, "map", Seed(0)),
     ],
     ids=[
-        "config-center-str", "config-center-none", "scheme-kind-str", "exact-center-str",
+        "config-center-str", "config-center-none", "config-scheme-str", "config-scheme-kind",
+        "scheme-kind-str", "exact-center-str",
         "quadrature-center-str", "grid-center-str", "law-center-str", "resample-center-str",
     ],
 )
