@@ -17,6 +17,7 @@ defines and resolves the parametric bootstrap's center.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -158,19 +159,18 @@ class MixtureCdf:
         return self.means.shape[0]
 
 
-def _component_values(mix: MixtureCdf, grid: np.ndarray) -> np.ndarray:
-    """CDF value of every component at every grid point, shape (B, len(grid))."""
-    return _normal_cdf(grid[None, :], mix.means[:, None], mix.sds[:, None])
+def _component_values(mix: MixtureCdf, points: np.ndarray) -> np.ndarray:
+    """CDF value of every component at every point, shape (len(points), B)."""
+    return _normal_cdf(points[:, None], mix.means, mix.sds)
 
 
 def _mixture_mean(values: np.ndarray) -> np.ndarray:
-    # reduce over contiguous rows of the transpose so every grid point sums
-    # its component values in the same pairwise order regardless of grid
-    # size; scalar evaluation then matches grid evaluation bit for bit.
-    # The exact mean lies between the smallest and largest component value,
-    # so clamping to them only removes rounding.
-    columns = np.ascontiguousarray(values.T)
-    return np.clip(columns.mean(axis=1), columns.min(axis=1), columns.max(axis=1))
+    # each point reduces its own contiguous row of component values, so it
+    # sums them in the same pairwise order whatever the number of points;
+    # scalar evaluation then matches grid evaluation bit for bit.  The exact
+    # mean lies between the smallest and largest component value, so
+    # clamping to them only removes rounding.
+    return np.clip(values.mean(axis=1), values.min(axis=1), values.max(axis=1))
 
 
 def mixture_cdf_eval(mix: MixtureCdf, u: float) -> float:
@@ -197,6 +197,17 @@ def _moment_quantile(mix: MixtureCdf, p: float, lo: float, hi: float) -> float:
     return center + scale * (mean + math.sqrt(variance) * _normal_quantile(p, 0.0, 1.0))
 
 
+def _float_midpoint(lo: float, hi: float) -> float:
+    """The float halfway from ``lo`` to ``hi`` by count of floats, so 64 halvings close any finite bracket.
+
+    A float's bits read as an int64 ``q`` order like the float when ``q >= 0``;
+    ``-2**63 - q`` puts the negative ones in order too, and maps them back.
+    """
+    ordinals = [q if q >= 0 else -(2**63) - q for q in struct.unpack("<2q", struct.pack("<2d", lo, hi))]
+    mid = sum(ordinals) // 2
+    return struct.unpack("<d", struct.pack("<q", mid if mid >= 0 else -(2**63) - mid))[0]
+
+
 def mixture_quantile(mix: MixtureCdf, p: float) -> float:
     """Invert the mixture CDF by Newton steps, safeguarded by bisection.
 
@@ -208,12 +219,13 @@ def mixture_quantile(mix: MixtureCdf, p: float) -> float:
     the moment-matched normal.  Each evaluation narrows the bracket, and the
     next point is the Newton step ``x - (F(x) - p) / f(x)``, ``f`` the mean
     of the component densities, when it lands strictly inside the bracket,
-    and the bracket's midpoint otherwise.  When every component has the same
-    float as its p-quantile, that float is returned without a search, so B
-    identical replicates give the quantile of their common normal bit for
-    bit.  The search also stops when the bracket is narrower than 1e-14 of
-    its larger end, or holds no float between its ends, so the result does
-    not depend on the data's scale.
+    and otherwise the bracket's midpoint by float ordinals, which halves the
+    floats it holds however many binades it spans.  When every component has
+    the same float as its p-quantile, that float is returned without a
+    search, so B identical replicates give the quantile of their common
+    normal bit for bit.  The search also stops when the bracket is narrower
+    than 1e-14 of its larger end, or holds no float between its ends, so the
+    result does not depend on the data's scale.
     """
     p = float(p)
     if not 0.0 < p < 1.0:
@@ -225,8 +237,8 @@ def mixture_quantile(mix: MixtureCdf, p: float) -> float:
     x = _moment_quantile(mix, p, lo, hi)
     for _ in range(_QUANTILE_MAX_ITER):
         if not lo < x < hi:
-            x = 0.5 * lo + 0.5 * hi
-            if x == lo or x == hi:
+            x = _float_midpoint(lo, hi)
+            if x == lo:
                 return x
         value = mixture_cdf_eval(mix, x)
         if abs(value - p) <= _QUANTILE_CDF_TOL:

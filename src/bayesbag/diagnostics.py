@@ -18,7 +18,7 @@ from .bagging import (
     bayesbag_mc,
     credible_interval,
 )
-from .model import Dataset, GaussianLocationModel, NormalDist, _count, _normal_cdf, np, posterior
+from .model import _KERNEL_BLOCK, Dataset, GaussianLocationModel, NormalDist, _count, _normal_cdf, np, posterior
 from .resampling import CenterPolicy, SchemeKind
 
 __all__ = [
@@ -32,9 +32,6 @@ __all__ = [
 ]
 
 DEFAULT_GRID_POINTS = 401
-# cells of the replicate-by-grid matrix held at once for a bagged curve:
-# 2**18 float64 cells are 2 MiB, whatever B and the grid size
-_CURVE_CHUNK_CELLS = 2**18
 # cells that each process keeps when a bagged curve is split across CPUs:
 # about 40 ms of _ndtr work, against 1-2 ms to fork a child (2-CPU Xeon VM)
 _SPLIT_MIN_CELLS = 2**20
@@ -141,13 +138,14 @@ def build_band(
         raise ValueError("need at least 2 replicates for a band")
     mix = bayesbag_mc(model, data, cfg)
     grid = evaluation_grid(model, data, grid_spec, cfg.center_policy)
-    values = _component_values(mix, grid)
+    values = np.empty((grid.shape[0], len(mix)))
+    mean_curve = _chunked_curve(mix, grid, values)
     return CdfBand(
         grid,
-        values,
-        values.min(axis=0),
-        values.max(axis=0),
-        _mixture_mean(values),
+        values.T,
+        values.min(axis=1),
+        values.max(axis=1),
+        mean_curve,
         _normal_curve(posterior(model, data), grid),
     )
 
@@ -158,18 +156,23 @@ def _normal_curve(dist: NormalDist, grid: np.ndarray) -> np.ndarray:
     return _normal_cdf(grid, dist.mean, dist.sd)
 
 
-def _chunked_curve(mix, grid: np.ndarray) -> np.ndarray:
-    """``_mixture_mean(_component_values(mix, grid))``, over column chunks of the grid.
+def _chunked_curve(mix, grid: np.ndarray, values: np.ndarray | None = None) -> np.ndarray:
+    """``_mixture_mean(_component_values(mix, grid))``, over blocks of grid points.
 
-    Every column is still reduced over all B rows in the same pairwise
-    order, so the curve is the same bit for bit; only a (B, chunk) block of
-    the matrix is held at a time.
+    A block holds about ``_KERNEL_BLOCK`` cells (one point's row when B is
+    larger), so only one block of the points-by-components matrix is held
+    at a time.  Every point still reduces its row in the same pairwise
+    order, so the curve is the same bit for bit.  ``values``, a
+    ``(len(grid), B)`` array, also receives every block.
     """
-    step = max(1, _CURVE_CHUNK_CELLS // len(mix))
-    return np.concatenate([
-        _mixture_mean(_component_values(mix, grid[i:i + step]))
-        for i in range(0, grid.shape[0], step)
-    ])
+    curve = np.empty(grid.shape)
+    step = max(1, _KERNEL_BLOCK // len(mix))
+    for i in range(0, grid.shape[0], step):
+        block = _component_values(mix, grid[i:i + step])
+        curve[i:i + step] = _mixture_mean(block)
+        if values is not None:
+            values[i:i + step] = block
+    return curve
 
 
 def _usable_cpus() -> int:
@@ -189,73 +192,49 @@ def _usable_cpus() -> int:
     return 1
 
 
-def _fork_curve(mix, grid: np.ndarray):
-    """``(pid, pipe)`` of a child writing ``_chunked_curve(mix, grid)`` to ``pipe``, or None if none started."""
-    try:
-        read, write = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        return None
-    if pid == 0:  # the child: it answers through the pipe alone, and never returns
-        status = 1
-        try:
-            os.close(read)
-            with open(write, "wb") as pipe:
-                pipe.write(_chunked_curve(mix, grid).tobytes())
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write)
-    return pid, read
-
-
-def _collect(child, columns: int):
-    """The curve values a :func:`_fork_curve` child wrote, or None if it failed; it is reaped either way.
-
-    A child writes only once it has every value, so one that failed wrote
-    fewer bytes than ``columns`` float64 values.
-    """
-    if child is None:
-        return None
-    pid, read = child
-    try:
-        with open(read, "rb") as pipe:
-            data = pipe.read()
-    finally:
-        with contextlib.suppress(ChildProcessError):  # reaped already where SIGCHLD is ignored
-            os.waitpid(pid, 0)
-    return np.frombuffer(data, dtype=float) if len(data) == 8 * columns else None
-
-
 def _mixture_curve(mix, grid: np.ndarray) -> np.ndarray:
-    """:func:`_chunked_curve`, split into contiguous column parts across CPUs when the grid is large.
+    """:func:`_chunked_curve`, split into contiguous parts of the grid across CPUs when it is large.
 
     Each part keeps at least ``_SPLIT_MIN_CELLS`` cells.  Forked children
-    evaluate every part but the first, which this process evaluates; it
-    then reads and reaps every child, and evaluates again the part of any
-    child that failed.  Every column is reduced by the same code, so the
-    curve, and any error, are those of a serial run.
+    evaluate every part but the first, which this process evaluates; each
+    writes its values into one shared anonymous mapping, then sets its
+    part's done flag there.  This process reaps every child and evaluates
+    again any part whose flag is unset.  Every point is reduced by the same
+    code, so the curve, and any error, are those of a serial run.
     """
-    min_columns = -(-_SPLIT_MIN_CELLS // len(mix))  # rounded up
-    parts = grid.shape[0] // min_columns
+    min_points = -(-_SPLIT_MIN_CELLS // len(mix))  # rounded up
+    parts = grid.shape[0] // min_points
     if parts > 1:
         parts = min(parts, _usable_cpus())
     if parts < 2:
         return _chunked_curve(mix, grid)
-    first, *rest = np.array_split(grid, parts)
-    children = [_fork_curve(mix, part) for part in rest]
+    import mmap  # here, so that a process that never splits does not load it
+    shared = np.frombuffer(mmap.mmap(-1, 8 * (grid.shape[0] + parts - 1)), dtype=float)
+    curve, done = shared[:grid.shape[0]], shared[grid.shape[0]:]
+    (first, own), *rest = zip(np.array_split(grid, parts), np.array_split(curve, parts))
+    children = []
+    for k, (points, out) in enumerate(rest):
+        try:
+            pid = os.fork()
+        except OSError:
+            continue
+        if pid == 0:  # the child: it answers through the mapping alone, and never returns
+            try:
+                out[:] = _chunked_curve(mix, points)
+                done[k] = 1.0
+            finally:
+                os._exit(0)
+        children.append(pid)
     try:
-        curves = [_chunked_curve(mix, first)]
+        own[:] = _chunked_curve(mix, first)
     finally:
-        shares = [_collect(child, part.shape[0]) for child, part in zip(children, rest)]
-    for part, share in zip(rest, shares):
-        curves.append(_chunked_curve(mix, part) if share is None else share)
-    return np.concatenate(curves)
+        for pid in children:
+            with contextlib.suppress(ChildProcessError):  # reaped already where SIGCHLD is ignored
+                os.waitpid(pid, 0)
+    for (points, out), finished in zip(rest, done):
+        if not finished:
+            out[:] = _chunked_curve(mix, points)
+    return curve.copy()
 
 
 def bagged_cdf_curves(model: GaussianLocationModel, data: Dataset, cfg: BagConfig):

@@ -26,12 +26,11 @@ kernel, and every normal quantile through the standard library's:
   (0, 1): Wichura's algorithm AS241 (Appl. Statist. 37, 1988).
 
 One set of branch functions (:func:`_erf`, :func:`_half_erfc` and the
-:func:`_horner` and :func:`_exp_neg_square` they call) serves a float and an
-array alike: written with augmented assignments, they work on an array in
-fresh buffers of their own and rebind a float through the same roundings.
-So :func:`_ndtr` is strictly elementwise: output ``i`` depends only on input
-``i``, whatever the array's shape or the element's position in it, and a
-scalar evaluation equals the same point of a grid evaluation bit for bit.
+:func:`_horner` and :func:`_exp_neg_square` they call) works on an array in
+fresh buffers of its own.  So :func:`_ndtr` is strictly elementwise: output
+``i`` depends only on input ``i``, whatever the array's shape or the
+element's position in it, and a scalar evaluation equals the same point of
+a grid evaluation bit for bit.
 """
 
 from __future__ import annotations
@@ -76,7 +75,8 @@ __all__ = [
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT_HALF = math.sqrt(0.5)
 
-# elements of the flattened input that _ndtr evaluates at once: the branch
+# elements of the flattened input that _ndtr evaluates at once, and cells of
+# the points-by-components block that diagnostics holds: the branch
 # functions' few temporaries of 2**14 float64 (128 KiB each) stay in a
 # core's L2 cache
 _KERNEL_BLOCK = 2**14
@@ -122,7 +122,7 @@ _std_normal_inv_cdf = statistics.NormalDist().inv_cdf
 
 
 def _horner(x, coefs):
-    """``coefs[0] x^k + ... + coefs[k]`` for a float or array ``x``, rounding as Cephes does."""
+    """``coefs[0] x^k + ... + coefs[k]`` for an array ``x``, rounding as Cephes does."""
     acc = x * coefs[0]
     acc += coefs[1]
     for c in coefs[2:]:
@@ -171,21 +171,12 @@ def _ndtr(a):
     """Standard normal CDF of ``a``, elementwise; see the module docstring.
 
     ``-inf`` and ``inf`` map to 0 and 1 and NaN to NaN, with no warning.
-    A 0-d input gives a float, from the one branch its value selects.  An
-    array is evaluated in blocks of ``_KERNEL_BLOCK`` elements of its
-    flattened form: the P/Q branch runs over the whole block on ``|x|``
-    clipped into its range, and the cells of the other two branches are
-    then overwritten.
+    The result is an array of ``a``'s shape (0-d for a scalar), evaluated
+    in blocks of ``_KERNEL_BLOCK`` elements of its flattened form: the P/Q
+    branch runs over the whole block on ``|x|`` clipped into its range, and
+    the cells of the other two branches are then overwritten.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim == 0:
-        x = float(a) * _SQRT_HALF
-        if abs(x) < 1.0:
-            return 0.5 + 0.5 * _erf(x)
-        if x <= -8.0:
-            return float(_half_erfc(min(-x, _ERFC_ZERO_Z), _ERFC_R, _ERFC_S))
-        y = float(_half_erfc(min(abs(x), 8.0), _ERFC_P, _ERFC_Q))
-        return 1.0 - y if x > 0.0 else y
     flat = a.reshape(-1)
     out = np.empty(flat.shape)
     for start in range(0, flat.size, _KERNEL_BLOCK):

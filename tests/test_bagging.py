@@ -147,8 +147,8 @@ class TestMixtureCdfEval:
 
     def test_mean_of_identical_rows_is_the_row(self):
         # the pairwise mean of three copies of 0.1 rounds above 0.1
-        rows = np.full((3, 2), 0.1)
-        assert rows.mean(axis=0)[0] > 0.1
+        rows = np.full((2, 3), 0.1)
+        assert rows.mean(axis=1)[0] > 0.1
         np.testing.assert_array_equal(_mixture_mean(rows), [0.1, 0.1])
 
     @given(mixtures, st.lists(st.floats(-50, 50), min_size=2, max_size=8))
@@ -204,6 +204,22 @@ class TestMixtureQuantile:
         q = mixture_quantile(mix, p)
         assert min(ends) <= q <= max(ends)
         assert abs(mixture_cdf_eval(mix, q) - p) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "means, variances, p",
+        [
+            # brackets 5.5e99 and 4.3e53 wide around quantiles on scales of 1 and 3e-3
+            ([0, 0, 0, 0, -5.525e99], [1, 1, 1, 2.17e86, 1], 0.5625),
+            ([0, 4.25e53], [1e-5, 1], 1e-9),
+        ],
+    )
+    def test_wide_bracket_closes_by_float_ordinals(self, monkeypatch, means, variances, p):
+        # arithmetic bisection spent all 200 steps on these and missed p by 0.26 and 1e-9
+        mix, evaluations, evaluate = MixtureCdf(means, variances), [], bagging.mixture_cdf_eval
+        monkeypatch.setattr(bagging, "mixture_cdf_eval", lambda mix, u: evaluations.append(u) or evaluate(mix, u))
+        q = mixture_quantile(mix, p)
+        assert len(evaluations) <= 64
+        assert abs(evaluate(mix, q) - p) <= 1e-12
 
     def test_out_of_range(self):
         mix = MixtureCdf([0.0], [1.0])

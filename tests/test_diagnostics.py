@@ -30,7 +30,8 @@ from bayesbag import (
 )
 from bayesbag.bagging import _component_values, _mixture_mean
 from bayesbag import diagnostics
-from bayesbag.diagnostics import _CURVE_CHUNK_CELLS, _chunked_curve, _mixture_curve, _usable_cpus
+from bayesbag.diagnostics import _chunked_curve, _mixture_curve, _usable_cpus
+from bayesbag.model import _KERNEL_BLOCK
 
 MODEL = GaussianLocationModel(tau_sq=4.0, sigma_sq=1.0)
 DATA_1 = Dataset((1.325,))
@@ -201,7 +202,7 @@ class TestReportMixture:
 
 class TestChunkedBagCurve:
     REPLICATES = 1000
-    CHUNK = _CURVE_CHUNK_CELLS // REPLICATES
+    CHUNK = _KERNEL_BLOCK // REPLICATES
 
     @pytest.mark.parametrize("points", [1, 2, CHUNK - 1, CHUNK + 1, 401])
     def test_equals_full_matrix_mean_bit_for_bit(self, points):
@@ -225,6 +226,31 @@ class TestChunkedBagCurve:
             tracemalloc.stop()
         assert curves[2].shape == (401,)
         assert peak < 8 * 2**20
+
+    def test_band_peak_memory_is_its_matrix(self):
+        # the band keeps the 10,000 x 401 float64 matrix (30.6 MiB), and
+        # beside it only a block of the kernel's size at a time
+        data = Dataset((0.2, 1.9, 0.7, 1.1, 0.5, 0.9, -0.4, 1.3, 0.8, 0.1))
+        cfg = BagConfig(10_000, ResampleScheme.nonparametric(), seed=8)
+        tracemalloc.start()
+        try:
+            band = build_band(MODEL, data, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert band.per_replicate.shape == (10_000, 401)
+        assert peak < band.per_replicate.nbytes + 4 * 2**20
+
+    def test_band_evaluates_each_cell_once(self, monkeypatch):
+        # bench/trace_launcher.py counts diagnostics.grid_cells from what
+        # diagnostics._component_values returns, so a band must count B x G
+        cells, values = [], diagnostics._component_values
+        monkeypatch.setattr(
+            diagnostics, "_component_values", lambda mix, points: cells.append(values(mix, points)) or cells[-1]
+        )
+        band = build_band(MODEL, DATA_10, BagConfig(self.REPLICATES, ResampleScheme.nonparametric(), seed=8))
+        assert sum(block.size for block in cells) == self.REPLICATES * band.grid.shape[0]
+        assert len(cells) > 1
 
 
 def assert_no_child_left():
@@ -291,6 +317,27 @@ class TestSplitBagCurve:
         monkeypatch.setattr(diagnostics, "_chunked_curve", failing)
         assert _mixture_curve(mix, grid).tobytes() == serial.tobytes()
         assert len(forks) == 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("sigchld", [signal.SIG_DFL, signal.SIG_IGN], ids=["default", "ignored"])
+    def test_parent_evaluates_only_its_own_part(self, mix, forks, monkeypatch, sigchld):
+        grid = np.linspace(-3.0, 4.0, 401)
+        parent, chunked, evaluated = os.getpid(), _chunked_curve, []
+
+        def recorded(mix, points):
+            if os.getpid() == parent:
+                evaluated.append(points.shape[0])
+            return chunked(mix, points)
+
+        monkeypatch.setattr(diagnostics, "_chunked_curve", recorded)
+        previous = signal.signal(signal.SIGCHLD, sigchld)
+        try:
+            curve = _mixture_curve(mix, grid)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert len(forks) == 2
+        assert evaluated == [np.array_split(grid, 3)[0].shape[0]]
+        assert curve.tobytes() == chunked(mix, grid).tobytes()
         assert_no_child_left()
 
     def test_children_reaped_already_where_sigchld_is_ignored(self, mix, forks):
