@@ -9,9 +9,11 @@ posterior is again normal:
     variance = 1 / (1 / tau_sq + n / sigma_sq)
 
 Everything downstream (resampling, bagging, diagnostics) is expressed in
-terms of the :class:`NormalDist` value type and the CDF/PDF/quantile helpers
-defined here.  Every normal CDF in the package goes through one numpy-only
-kernel, and every normal quantile through the standard library's:
+terms of the :class:`NormalDist` value type, the array kernels
+:func:`_normal_cdf` and :func:`_normal_pdf`, and the quantile helpers defined
+here.  Every normal CDF the package computes is an array (a grid, or the
+components of a mixture) and goes through one numpy-only kernel, and every
+normal quantile through the standard library's:
 
 * :func:`_ndtr`, the standard normal CDF ``Phi(a) = erfc(-a / sqrt(2)) / 2``,
   with the rational approximations of the Cephes library's ``ndtr.c``
@@ -67,8 +69,6 @@ __all__ = [
     "Dataset",
     "NormalDist",
     "posterior",
-    "normal_cdf",
-    "normal_pdf",
     "normal_quantile",
 ]
 
@@ -334,25 +334,6 @@ def posterior(model: GaussianLocationModel, data: Dataset) -> NormalDist:
     if variance == 0.0:
         raise ValueError("posterior variance underflows: 1/tau_sq + n/sigma_sq overflows")
     return NormalDist(mean, variance)
-
-
-def normal_cdf(u: float, dist: NormalDist) -> float:
-    """CDF of ``dist`` at ``u``.
-
-    Infinite ``u`` returns the limit (0 or 1).
-    """
-    u = float(u)
-    if math.isnan(u):
-        raise ValueError("non-finite input")
-    return float(_normal_cdf(u, dist.mean, dist.sd))
-
-
-def normal_pdf(r: float, dist: NormalDist) -> float:
-    """Density of ``dist`` at ``r``."""
-    r = float(r)
-    if math.isnan(r):
-        raise ValueError("non-finite input")
-    return float(_normal_pdf(r, dist.mean, dist.sd))
 
 
 def normal_quantile(p: float, dist: NormalDist) -> float:

@@ -27,13 +27,13 @@ from bayesbag import (
     credible_interval,
     mixture_cdf_eval,
     mixture_quantile,
-    normal_cdf,
     normal_quantile,
     posterior,
     resample,
 )
 from bayesbag import bagging
 from bayesbag.bagging import _component_values, _mixture_mean
+from bayesbag.model import _normal_cdf
 
 MODEL = GaussianLocationModel(tau_sq=4.0, sigma_sq=1.0)
 DATA_1 = Dataset((1.325,))
@@ -66,7 +66,7 @@ near_degenerate_mixtures = st.builds(
 
 def sup_distance_to(mix, dist, grid):
     curve = _mixture_mean(_component_values(mix, grid))
-    target = np.array([normal_cdf(u, dist) for u in grid])
+    target = _normal_cdf(grid, dist.mean, dist.sd)
     return float(np.max(np.abs(curve - target)))
 
 
@@ -126,17 +126,19 @@ class TestBayesbagQuadrature:
     def test_matches_closed_form_on_grid(self):
         for data in (DATA_1, DATA_10):
             bag = bayesbag_exact(MODEL, data)
-            for u in default_grid(bag):
+            grid = default_grid(bag)
+            for u, closed in zip(grid, _normal_cdf(grid, bag.mean, bag.sd)):
                 quad = bayesbag_quadrature(MODEL, data, u)
-                assert quad == pytest.approx(normal_cdf(u, bag), abs=1e-9)
+                assert quad == pytest.approx(closed, abs=1e-9)
 
 
 class TestMixtureCdfEval:
     def test_identical_components(self):
         comp = NormalDist(1.0, 2.0)
         mix = MixtureCdf([comp.mean] * 5, [comp.variance] * 5)
-        for u in (-1.0, 1.0, 4.0):
-            assert mixture_cdf_eval(mix, u) == pytest.approx(normal_cdf(u, comp), abs=1e-15)
+        us = np.array([-1.0, 1.0, 4.0])
+        for u, single in zip(us, _normal_cdf(us, comp.mean, comp.sd)):
+            assert mixture_cdf_eval(mix, u) == pytest.approx(single, abs=1e-15)
 
     def test_large_mixture_close_to_exact(self):
         cfg = BagConfig(replicates=10_000, seed=42)
@@ -157,9 +159,9 @@ class TestMixtureCdfEval:
         values = [mixture_cdf_eval(mix, u) for u in us]
         assert all(0.0 <= v <= 1.0 for v in values)
         assert all(b - a >= -1e-13 for a, b in zip(values, values[1:]))
-        for u, v in zip(us, values):
-            comp_values = [normal_cdf(u, c) for c in mix.components]
-            assert min(comp_values) - 1e-12 <= v <= max(comp_values) + 1e-12
+        comp_values = _normal_cdf(np.array(us)[:, None], mix.means, mix.sds)
+        assert np.all(comp_values.min(axis=1) - 1e-12 <= values)
+        assert np.all(values <= comp_values.max(axis=1) + 1e-12)
 
 
 class TestMixtureQuantile:
@@ -470,15 +472,11 @@ class TestConfigAndTypes:
         law = bootstrap_mean_law(MODEL, DATA_10, CenterPolicy.SAMPLE_MEAN)
         bag = bayesbag_exact(MODEL, DATA_10)
         rs = np.linspace(law.mean - 10 * law.sd, law.mean + 10 * law.sd, 40001)
-        for u in (0.0, 0.71, 1.5):
-            integrand = [
-                normal_cdf(u, NormalDist(r, post.variance))
-                * math.exp(-0.5 * ((r - law.mean) / law.sd) ** 2)
-                / (law.sd * math.sqrt(2 * math.pi))
-                for r in rs
-            ]
-            brute = np.trapezoid(integrand, rs)
-            assert brute == pytest.approx(normal_cdf(u, bag), abs=1e-8)
+        density = np.exp(-0.5 * ((rs - law.mean) / law.sd) ** 2) / (law.sd * math.sqrt(2 * math.pi))
+        us = np.array([0.0, 0.71, 1.5])
+        for u, closed in zip(us, _normal_cdf(us, bag.mean, bag.sd)):
+            brute = np.trapezoid(_normal_cdf(u, rs, post.sd) * density, rs)
+            assert brute == pytest.approx(closed, abs=1e-8)
 
 
 # The Monte Carlo bag of an index scheme has no closed form.  Its replicate

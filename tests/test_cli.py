@@ -3,9 +3,11 @@
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,6 @@ from bayesbag import (
     build_band,
     credible_interval,
     make_report,
-    normal_cdf,
     posterior,
     resample,
 )
@@ -42,6 +43,7 @@ from bayesbag.cli import (
 )
 from bayesbag import diagnostics
 from bayesbag.diagnostics import DEFAULT_GRID_POINTS
+from bayesbag.model import _normal_cdf
 
 MODEL = GaussianLocationModel(4.0, 1.0)
 
@@ -268,8 +270,9 @@ class TestBag:
         rows = read_rows(tmp_path / "cdf.csv")
         assert len(rows) == 401
         bag = bayesbag_exact(MODEL, Dataset((1.325,)))
-        for row in rows:
-            assert float(row["F_bayesbag"]) == normal_cdf(float(row["u"]), bag)
+        u = np.array([float(row["u"]) for row in rows])
+        F = np.array([float(row["F_bayesbag"]) for row in rows])
+        assert F.tolist() == _normal_cdf(u, bag.mean, bag.sd).tolist()
 
     def test_byte_order_mark_keeps_first_observation(self, tmp_path):
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
@@ -408,13 +411,13 @@ class TestCurves:
         ])
         assert rc == 0
         bag = bayesbag_exact(MODEL, Dataset((1.325,)))
-        errors = [
-            abs(float(row["F"]) - normal_cdf(float(row["u"]), bag))
+        u, F = np.array([
+            (float(row["u"]), float(row["F"]))
             for row in read_rows(tmp_path / "curves.csv")
             if row["replicate_id"] == "-1"
-        ]
-        assert len(errors) == 101
-        assert max(errors) <= 1.36 / math.sqrt(500) + 0.005
+        ]).T
+        assert len(F) == 101
+        assert np.max(np.abs(F - _normal_cdf(u, bag.mean, bag.sd))) <= 1.36 / math.sqrt(500) + 0.005
 
     def test_posterior_sentinel_matches_model(self, tmp_path):
         data_file = tmp_path / "obs.csv"
@@ -425,9 +428,13 @@ class TestCurves:
         ])
         assert rc == 0
         post = posterior(MODEL, Dataset((1.325,)))
-        for row in read_rows(tmp_path / "curves.csv"):
-            if row["replicate_id"] == "-2":
-                assert float(row["F"]) == normal_cdf(float(row["u"]), post)
+        u, F = np.array([
+            (float(row["u"]), float(row["F"]))
+            for row in read_rows(tmp_path / "curves.csv")
+            if row["replicate_id"] == "-2"
+        ]).T
+        assert len(F) == 11
+        assert F.tolist() == _normal_cdf(u, post.mean, post.sd).tolist()
 
 
 def per_cell_csv(header, rows):
@@ -461,7 +468,7 @@ class TestFloatCsv:
             for u, value in zip(band.grid, band.per_replicate[b])
         ]
         curve_rows += [("-1", u, value) for u, value in zip(band.grid, band.mean_curve)]
-        curve_rows += [("-2", u, normal_cdf(u, post)) for u in band.grid]
+        curve_rows += [("-2", u, value) for u, value in zip(band.grid, _normal_cdf(band.grid, post.mean, post.sd))]
         assert (curves_dir / "curves.csv").read_bytes() == per_cell_csv("replicate_id,u,F", curve_rows)
 
         grid, post_curve, bag_curve = bagged_cdf_curves(MODEL, data, cfg)[:3]
@@ -486,6 +493,63 @@ class TestFloatCsv:
         block = _fill(_grid_template(grid, "", 2), np.column_stack((grid, grid[::-1])))
         rows = [(u, u, value) for u, value in zip(grid, grid[::-1])]
         assert block.encode("utf-8") == per_cell_csv("h", rows)[2:]
+
+
+# numpy takes its AVX2 loops, in place of its AVX-512 ones, in a process
+# started with this variable; its exp then rounds some cells differently
+AVX2_ONLY = "AVX512_ICL AVX512_SPR X86_V4"
+# _ndtr moved by at most 6 ulps on 4,000,002 points over [-40, 10] between the
+# two levels, and these runs' cells by at most 5 over 41 seeds; 2 more ulps
+# leave room for the rounding of a mean of B such values
+DISPATCH_ULPS = 8
+FLOAT_CELL = re.compile(r"-?\d+(\.\d+)?(e[-+]?\d+)?")
+EXACT_CELL = re.compile(r"-?\d+(\.\d\d)?")  # an integer or a 2-decimal rounding
+
+
+def float_ordinals(values):
+    """Float64 ``values`` as int64s that order like them, adjacent floats one apart."""
+    q = np.asarray(values, dtype=float).view(np.int64)
+    return np.where(q >= 0, q, np.iinfo(np.int64).min - q)
+
+
+def cells_moved(a, b):
+    """Cells of texts ``a`` and ``b`` that differ, after checking each pair is two floats within ``DISPATCH_ULPS``."""
+    a, b = re.split(r"[\s,\[\]]+", a), re.split(r"[\s,\[\]]+", b)
+    assert len(a) == len(b)
+    moved = [(x, y) for x, y in zip(a, b) if x != y]
+    for pair in moved:
+        assert all(FLOAT_CELL.fullmatch(x) and not EXACT_CELL.fullmatch(x) for x in pair), pair
+    if moved:
+        x, y = float_ordinals(np.array(moved, dtype=float).T)
+        worst = int(np.abs(x - y).max())
+        assert worst <= DISPATCH_ULPS, f"{worst} ulps apart"
+    return len(moved)
+
+
+class TestCpuDispatch:
+    def test_outputs_agree_within_the_ulp_bound_across_dispatch_levels(self, tmp_path):
+        commands = {
+            "bag": ["bag", "--synthetic-n", "50", "--scheme", "nonparametric", "--B", "2000"],
+            "curves": ["curves", "--scheme", "subsample", "--synthetic-n", "30", "--B", "200",
+                       "--grid-points", "101"],
+        }
+        moved = 0
+        for name, args in commands.items():
+            native, avx2 = (tmp_path / name / level for level in ("native", "avx2"))
+            runs = [
+                run_python("-m", "bayesbag.cli", *args, "--out", str(out), NPY_DISABLE_CPU_FEATURES=value)
+                for out, value in ((native, None), (avx2, AVX2_ONLY))
+            ]
+            assert runs[0].returncode == runs[1].returncode == 0, runs[1].stderr
+            assert runs[0].stderr == runs[1].stderr
+            moved += cells_moved(runs[0].stdout, runs[1].stdout)
+            files = sorted(path.name for path in native.iterdir())
+            assert files == sorted(path.name for path in avx2.iterdir())
+            for file in files:
+                moved += cells_moved((native / file).read_text(), (avx2 / file).read_text())
+        if not moved:
+            warnings.warn("the runs at both dispatch levels are identical: numpy took the same "
+                          "loops in both, as it does on a CPU without AVX-512")
 
 
 class TestHelpers:

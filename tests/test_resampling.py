@@ -15,9 +15,9 @@ from bayesbag import (
     SchemeKind,
     Seed,
     bootstrap_mean_law,
-    normal_cdf,
     resample,
 )
+from bayesbag.model import _normal_cdf
 
 MODEL = GaussianLocationModel(tau_sq=4.0, sigma_sq=1.0)
 DATA_1 = Dataset((1.325,))
@@ -311,7 +311,7 @@ class TestParametricDistribution:
         law = bootstrap_mean_law(MODEL, DATA_10, center)
         shrink = DATA_10.n + MODEL.sigma_sq / MODEL.tau_sq
         post_means = np.sort(DATA_10.n * means / shrink)
-        cdf = np.array([normal_cdf(x, law) for x in post_means])
+        cdf = _normal_cdf(post_means, law.mean, law.sd)
         ranks = np.arange(1, B_DIST + 1)
         ks = max(
             np.max(np.abs(ranks / B_DIST - cdf)),

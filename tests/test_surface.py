@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +36,7 @@ PUBLIC_NAMES = {
     "QuantilePair", "ResampleScheme", "SchemeKind", "Seed", "bagged_cdf_curves",
     "bayesbag_exact", "bayesbag_mc", "bayesbag_quadrature", "bootstrap_mean_law",
     "build_band", "credible_interval", "evaluation_grid", "make_report",
-    "mixture_cdf_eval", "mixture_quantile", "normal_cdf",
-    "normal_pdf", "normal_quantile", "posterior", "resample",
+    "mixture_cdf_eval", "mixture_quantile", "normal_quantile", "posterior", "resample",
 }
 
 
@@ -272,3 +272,48 @@ def test_every_private_name_is_referenced(module):
     )
     defined = private_definitions(module.read_text(encoding="utf-8"))
     assert sorted(defined - referenced) == []
+
+
+def names_read(source: str) -> set[str]:
+    """Names ``source`` loads or takes as an attribute, outside the module-level def or class of that name.
+
+    A string, such as an ``__all__`` entry, is no read, and neither is a
+    function's call of itself.
+    """
+    names = set()
+    for statement in ast.parse(source).body:
+        read = {node.attr for node in ast.walk(statement) if isinstance(node, ast.Attribute)}
+        read |= {
+            node.id for node in ast.walk(statement)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        read.discard(getattr(statement, "name", None))
+        names |= read
+    return names
+
+
+def unread_public_names(sources, readme: str, public) -> list[str]:
+    """Names of ``public`` that no source reads and that begin no code span of ``readme``."""
+    read = set().union(*map(names_read, sources))
+    documented = set(re.findall(r"`([A-Za-z_]\w*)", readme))
+    return sorted(set(public) - read - documented)
+
+
+def test_public_name_guard_sees_an_unread_name():
+    orphans = (
+        "__all__ = ['orphan', 'Orphan']\n\n\n"
+        "def orphan(x):\n    return orphan(x - 1) if x else Orphan\n\n\n"
+        "class Orphan:\n    pass\n"
+    )
+    public = ["orphan", "Orphan"]
+    assert unread_public_names([orphans], "", public) == ["orphan"]
+    assert unread_public_names([orphans, "orphan(3)\n"], "", public) == []
+    assert unread_public_names([orphans], "Call `orphan(x)`.", public) == []
+
+
+def test_every_public_name_is_read_or_documented():
+    # a public name that the package never reads and README never names
+    # serves no caller; the companion of test_every_private_name_is_referenced
+    sources = [path.read_text(encoding="utf-8") for path in SOURCES]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert unread_public_names(sources, readme, bayesbag.__all__) == []
