@@ -176,7 +176,7 @@ def _chunked_curve(mix, grid: np.ndarray, values: np.ndarray | None = None) -> n
 
 
 def _usable_cpus() -> int:
-    """CPUs a bagged curve may be split across: 1 unless this is a single-threaded Linux process.
+    """CPUs that work may be split across: 1 unless this is a single-threaded Linux process.
 
     A forked child holds only the thread that forked it, so a lock that
     another thread (a BLAS pool, say) held at the fork would never be
@@ -192,15 +192,50 @@ def _usable_cpus() -> int:
     return 1
 
 
+def _split(parts: int, run) -> None:
+    """Call ``run(k)`` for every part k in ``range(parts)``: part 0 here, every other in a forked child.
+
+    A child sets its part's done flag in a shared anonymous mapping once
+    ``run`` returns, and leaves through ``os._exit`` alone, so it never
+    returns here and flushes no buffer it inherited.  This process reaps
+    every child, then calls ``run`` itself for each part whose flag is
+    unset: one whose fork raised ``OSError``, or whose child raised or was
+    killed.  So every part has run to its end when this returns, and an
+    error is the one a serial run of the parts, in order, raises.
+    """
+    import mmap  # here, so that a process that never splits does not load it
+    done = mmap.mmap(-1, parts)
+    children = []
+    for k in range(1, parts):
+        try:
+            pid = os.fork()
+        except OSError:
+            continue
+        if pid == 0:  # the child: it answers through what run writes and its flag alone
+            try:
+                run(k)
+                done[k] = 1
+            finally:
+                os._exit(0)
+        children.append(pid)
+    try:
+        run(0)
+    finally:
+        for pid in children:
+            with contextlib.suppress(ChildProcessError):  # reaped already where SIGCHLD is ignored
+                os.waitpid(pid, 0)
+    for k in range(1, parts):
+        if not done[k]:
+            run(k)
+
+
 def _mixture_curve(mix, grid: np.ndarray) -> np.ndarray:
     """:func:`_chunked_curve`, split into contiguous parts of the grid across CPUs when it is large.
 
-    Each part keeps at least ``_SPLIT_MIN_CELLS`` cells.  Forked children
-    evaluate every part but the first, which this process evaluates; each
-    writes its values into one shared anonymous mapping, then sets its
-    part's done flag there.  This process reaps every child and evaluates
-    again any part whose flag is unset.  Every point is reduced by the same
-    code, so the curve, and any error, are those of a serial run.
+    Each part keeps at least ``_SPLIT_MIN_CELLS`` cells.  :func:`_split`
+    runs the parts; each writes its values into one shared anonymous
+    mapping.  Every point is reduced by the same code, so the curve, and
+    any error, are those of a serial run.
     """
     min_points = -(-_SPLIT_MIN_CELLS // len(mix))  # rounded up
     parts = grid.shape[0] // min_points
@@ -208,32 +243,15 @@ def _mixture_curve(mix, grid: np.ndarray) -> np.ndarray:
         parts = min(parts, _usable_cpus())
     if parts < 2:
         return _chunked_curve(mix, grid)
-    import mmap  # here, so that a process that never splits does not load it
-    shared = np.frombuffer(mmap.mmap(-1, 8 * (grid.shape[0] + parts - 1)), dtype=float)
-    curve, done = shared[:grid.shape[0]], shared[grid.shape[0]:]
-    (first, own), *rest = zip(np.array_split(grid, parts), np.array_split(curve, parts))
-    children = []
-    for k, (points, out) in enumerate(rest):
-        try:
-            pid = os.fork()
-        except OSError:
-            continue
-        if pid == 0:  # the child: it answers through the mapping alone, and never returns
-            try:
-                out[:] = _chunked_curve(mix, points)
-                done[k] = 1.0
-            finally:
-                os._exit(0)
-        children.append(pid)
-    try:
-        own[:] = _chunked_curve(mix, first)
-    finally:
-        for pid in children:
-            with contextlib.suppress(ChildProcessError):  # reaped already where SIGCHLD is ignored
-                os.waitpid(pid, 0)
-    for (points, out), finished in zip(rest, done):
-        if not finished:
-            out[:] = _chunked_curve(mix, points)
+    import mmap
+    curve = np.frombuffer(mmap.mmap(-1, 8 * grid.shape[0]), dtype=float)
+    pieces = list(zip(np.array_split(grid, parts), np.array_split(curve, parts)))
+
+    def run(k):
+        points, out = pieces[k]
+        out[:] = _chunked_curve(mix, points)
+
+    _split(parts, run)
     return curve.copy()
 
 

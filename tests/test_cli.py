@@ -4,6 +4,7 @@ import csv
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -32,11 +33,12 @@ from bayesbag import (
     resample,
 )
 from bayesbag.bagging import _QUANTILE_CDF_TOL, RESOLUTION_ULPS
+from bayesbag import cli
 from bayesbag.cli import (
     _derived_master,
     _fill,
     _grid_template,
-    _write_dataset,
+    _write_table,
     main,
     read_observations,
     synthetic_dataset,
@@ -44,6 +46,7 @@ from bayesbag.cli import (
 from bayesbag import diagnostics
 from bayesbag.diagnostics import DEFAULT_GRID_POINTS
 from bayesbag.model import _normal_cdf
+from test_diagnostics import assert_no_child_left
 
 MODEL = GaussianLocationModel(4.0, 1.0)
 
@@ -482,7 +485,7 @@ class TestFloatCsv:
     def test_edge_floats(self, tmp_path):
         # 6,000 rows also cross a block boundary of the data writer
         values = self.EDGE_FLOATS * 1000
-        _write_dataset(tmp_path / "data.csv", Dataset(values))
+        _write_table(tmp_path / "data.csv", "observation", Dataset(values).observations)
         expected = per_cell_csv("observation", [(x,) for x in values])
         assert (tmp_path / "data.csv").read_bytes() == expected
 
@@ -490,9 +493,167 @@ class TestFloatCsv:
         block = _fill(_grid_template(grid, "{0},", 1).format(-2), grid[::-1])
         rows = [("-2", u, value) for u, value in zip(grid, grid[::-1])]
         assert block.encode("utf-8") == per_cell_csv("h", rows)[2:]
-        block = _fill(_grid_template(grid, "", 2), np.column_stack((grid, grid[::-1])))
+        _write_table(tmp_path / "cdf.csv", "h", grid, grid, grid[::-1])
         rows = [(u, u, value) for u, value in zip(grid, grid[::-1])]
-        assert block.encode("utf-8") == per_cell_csv("h", rows)[2:]
+        assert (tmp_path / "cdf.csv").read_bytes() == per_cell_csv("h", rows)
+
+
+@pytest.mark.skipif(not hasattr(os, "memfd_create"), reason="the CSV split forks and writes memory files")
+# a 3.12+ interpreter warns on a fork while a BLAS pool runs; the children never use it
+@pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
+class TestSplitCsv:
+    """CSV files formatted across forked processes, with the split forced.
+
+    ``curves`` writes 2 replicate curves and the 2 sentinels on 301 points,
+    1,204 cells in 4 blocks, and with ``--synthetic-n 1204`` a ``data.csv``
+    of 1,204 cells in 4 blocks of 301 rows.  The CPU count is set to 3, so a
+    per-part minimum of 1,204, 602 or 401 cells splits each file in 1, 2 or
+    3 parts.  A curve's text, over 8 KiB, leaves a file object's buffers as
+    soon as it is written.
+    """
+
+    FLAGS = ["curves", "--synthetic-n", "1204", "--scheme", "nonparametric", "--B", "2",
+             "--grid-points", "301", "--seed", "6"]
+    FILES = ("curves.csv", "data.csv")
+
+    @pytest.fixture
+    def serial(self, tmp_path, monkeypatch):
+        """The files of a serial run."""
+        with monkeypatch.context() as serial_only:
+            serial_only.setattr(cli, "_usable_cpus", lambda: 1)
+            assert main([*self.FLAGS, "--out", str(tmp_path / "serial")]) == 0
+        return {name: (tmp_path / "serial" / name).read_bytes() for name in self.FILES}
+
+    @pytest.fixture
+    def forks(self, monkeypatch, serial):
+        """Forces a 3-part split; the list returned collects the pid of each child forked."""
+        monkeypatch.setattr(cli, "_TABLE_BLOCK_ROWS", 301)
+        monkeypatch.setattr(cli, "_CSV_PART_CELLS", 401)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        made, fork = [], os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                made.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        return made
+
+    def split_run(self, tmp_path):
+        out = tmp_path / "split"
+        assert main([*self.FLAGS, "--out", str(out)]) == 0
+        return {name: (out / name).read_bytes() for name in self.FILES}
+
+    @pytest.mark.parametrize("part_cells, parts", [(1204, 1), (603, 1), (602, 2), (402, 2), (401, 3), (1, 3)])
+    def test_equals_serial_bytes(self, tmp_path, serial, forks, monkeypatch, part_cells, parts):
+        monkeypatch.setattr(cli, "_CSV_PART_CELLS", part_cells)
+        assert self.split_run(tmp_path) == serial
+        assert len(forks) == 2 * (parts - 1)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failure", ["raises", "killed"])
+    def test_failed_child_gives_the_serial_bytes(self, tmp_path, serial, forks, monkeypatch, failure):
+        # the child of curves.csv's last run, [-1, -2], fails after it has written curve -1
+        parent, fill = os.getpid(), cli._fill
+
+        def failing(template, values):
+            if os.getpid() != parent and template.startswith("-2,"):
+                if failure == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise MemoryError("child")
+            return fill(template, values)
+
+        monkeypatch.setattr(cli, "_fill", failing)
+        assert self.split_run(tmp_path) == serial
+        assert len(forks) == 4
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("call", ["fork", "memfd_create"])
+    def test_os_error_gives_a_serial_write(self, tmp_path, serial, forks, monkeypatch, call):
+        def refuse(*args):
+            raise OSError(f"no {call}")
+
+        monkeypatch.setattr(os, call, refuse)
+        assert self.split_run(tmp_path) == serial
+        assert forks == []
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("sigchld", [signal.SIG_DFL, signal.SIG_IGN], ids=["default", "ignored"])
+    def test_parent_formats_only_its_own_run(self, tmp_path, serial, forks, monkeypatch, sigchld):
+        parent, fill, formatted = os.getpid(), cli._fill, []
+
+        def recorded(template, values):
+            if os.getpid() == parent:
+                formatted.append(template.partition(",")[0])
+            return fill(template, values)
+
+        monkeypatch.setattr(cli, "_fill", recorded)
+        previous = signal.signal(signal.SIGCHLD, sigchld)
+        try:
+            assert self.split_run(tmp_path) == serial
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert len(forks) == 4
+        # the first of 3 runs of 4 blocks is 1 block: curve 0, then data.csv's first 301 rows
+        assert formatted == ["0", "%.17g\n" * 301]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("poisoned", [0, 1, 2], ids=["own-run", "first-child", "last-child"])
+    def test_error_in_a_run_is_the_serial_runs(self, tmp_path, capsys, forks, monkeypatch, poisoned):
+        # curves.csv's 4 blocks make the runs [0], [1] and [-1, -2]; every curve
+        # from the poisoned run's first on fails, and a serial run raises that
+        # one's error and leaves the curves before it in the file
+        failing = ["0", "1", "-1", "-2"][poisoned:]
+        fill = cli._fill
+
+        def poisoned_fill(template, values):
+            curve = template.partition(",")[0]
+            if curve in failing:
+                raise FloatingPointError(f"curve {curve}")
+            return fill(template, values)
+
+        monkeypatch.setattr(cli, "_fill", poisoned_fill)
+        with monkeypatch.context() as serial_only:
+            serial_only.setattr(cli, "_usable_cpus", lambda: 1)
+            assert main([*self.FLAGS, "--out", str(tmp_path / "serial")]) == 1
+        assert capsys.readouterr().err == f"internal error: curve {failing[0]}\n"
+        assert main([*self.FLAGS, "--out", str(tmp_path / "split")]) == 1
+        assert capsys.readouterr().err == f"internal error: curve {failing[0]}\n"
+        assert (tmp_path / "split" / "curves.csv").read_bytes() == (tmp_path / "serial" / "curves.csv").read_bytes()
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="the CSV split is Linux-only")
+    def test_stdout_printed_before_a_split_appears_once(self, tmp_path, capsys, monkeypatch):
+        # bag prints its report, then writes cdf.csv, 1,203 cells in 7 blocks
+        # of 64 rows, in 3 parts, and data.csv, 200 cells in 4 blocks, in 2.
+        # stdout is a pipe, so the report sits in its buffer when each child forks.
+        flags = ["bag", "--synthetic-n", "200", "--scheme", "nonparametric", "--B", "50"]
+        code = (
+            "import os, sys\n"
+            "from bayesbag import cli\n"
+            "cli._TABLE_BLOCK_ROWS, cli._CSV_PART_CELLS, cli._usable_cpus = 64, 100, lambda: 3\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(os.getpid()) or fork()\n"
+            "sys.argv = ['bayesbag', *sys.argv[1:]]\n"
+            "try:\n"
+            "    cli.entrypoint()\n"
+            "except SystemExit as exit:\n"
+            "    assert exit.code == 0, exit.code\n"
+            "print('forks:', len(forks))\n"
+        )
+        split = run_python("-c", code, *flags, "--out", str(tmp_path / "split"))
+        assert split.returncode == 0, split.stderr
+        *lines, last = split.stdout.splitlines()
+        assert last == "forks: 3"
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        assert main([*flags, "--out", str(tmp_path / "serial")]) == 0
+        assert lines == capsys.readouterr().out.splitlines()
+        assert len(lines) == len(set(lines))
+        for name in ("report.csv", "cdf.csv", "data.csv"):
+            assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
 
 # numpy takes its AVX2 loops, in place of its AVX-512 ones, in a process
@@ -696,6 +857,16 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert flag in err
+
+    @pytest.mark.parametrize("command", ["table1", "bag", "curves"])
+    def test_out_naming_a_file_exits_2_before_any_output(self, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        assert main([*BASE_ARGS[command], "--out", str(taken)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --out {taken}: ")
+        assert taken.read_text() == "not a directory\n"
 
     @settings(
         max_examples=80,

@@ -274,6 +274,41 @@ def test_every_private_name_is_referenced(module):
     assert sorted(defined - referenced) == []
 
 
+def fork_callers(source: str) -> list[str]:
+    """Per ``os.fork`` call in ``source``, the innermost function holding it, or ``"<module>"``."""
+    callers = []
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "fork" and isinstance(child.func.value, ast.Name)
+                and child.func.value.id == "os"
+            ):
+                callers.append(name)
+            visit(child, name)
+
+    visit(ast.parse(source), "<module>")
+    return callers
+
+
+def test_fork_guard_sees_a_second_call_site():
+    source = (Path(bayesbag.__file__).parent / "diagnostics.py").read_text(encoding="utf-8")
+    copied = source + "\n\ndef _second_split():\n    if os.fork() == 0:\n        os._exit(0)\n"
+    assert fork_callers(copied) == [*fork_callers(source), "_second_split"]
+    assert fork_callers("import os\nos.fork()\n") == ["<module>"]
+
+
+def test_one_function_forks():
+    # the bagged-curve split and the CSV split share one fork, reap and
+    # done-flag loop, so the two cannot drift apart
+    callers = [name for path in SOURCES for name in fork_callers(path.read_text(encoding="utf-8"))]
+    assert callers == ["_split"]
+
+
 def names_read(source: str) -> set[str]:
     """Names ``source`` loads or takes as an attribute, outside the module-level def or class of that name.
 
