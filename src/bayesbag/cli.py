@@ -27,8 +27,8 @@ from .bagging import (
 from .diagnostics import (
     DEFAULT_GRID_POINTS,
     GridSpec,
+    _runs,
     _split,
-    _usable_cpus,
     build_band,
     make_report,
 )
@@ -202,52 +202,40 @@ def _output_dir(path: Path) -> Path:
 def _write_csv(path: Path, header: str, blocks, text=str, cells: int = 0) -> None:
     """Write ``header``, then ``text(block)``, a string of whole lines, for each of ``blocks`` in order.
 
-    ``text`` formats ``cells`` cells in all.  When each part keeps at least
-    ``_CSV_PART_CELLS`` of them, the blocks are cut into contiguous runs,
-    one per usable CPU, and ``diagnostics._split`` runs them: forked
-    children each format one run into an anonymous memory file, and this
-    process formats the first run into the file.  It appends the children's
-    memory files in order, by ``os.sendfile``, so it never holds their
-    text, and formats any run whose child failed into the file in its
-    place.  The bytes, and any error, are a serial write's.
+    ``text`` formats ``cells`` cells in all.  ``diagnostics._runs`` cuts the
+    blocks into runs, and ``diagnostics._split`` has forked children format
+    all but the first into anonymous memory files while this process formats
+    the first into the file.  It then appends each finished run's memory
+    file, in order, by ``os.sendfile``, so it never holds that text, and
+    formats each unfinished run into the file in its place.  The bytes, and
+    any error, are a serial write's.
     """
     with open(path, "w", encoding="utf-8", newline="") as handle, contextlib.ExitStack() as stack:
         handle.write(header + "\n")
-        parts = min(cells // _CSV_PART_CELLS, len(blocks))
-        if parts > 1:
-            parts = min(parts, _usable_cpus())
+        runs = _runs(len(blocks), cells, _CSV_PART_CELLS)
         try:
             files = [
                 stack.enter_context(open(os.memfd_create(path.name), "w", encoding="utf-8", newline=""))
-                for _ in range(1, parts)
+                for _ in runs[1:]
             ]
         except OSError:
-            parts = 1
-        if parts < 2:
+            files = []
+        if not files:
             handle.writelines(map(text, blocks))
             return
-        runs = [blocks[len(blocks) * k // parts:len(blocks) * (k + 1) // parts] for k in range(parts)]
-        writer, sent = os.getpid(), 0  # files[:sent] are in the file, or were passed over
 
-        def send(upto):
-            for file in files[sent:upto]:
-                size, offset = os.fstat(file.fileno()).st_size, 0
-                while offset < size:
-                    offset += os.sendfile(handle.fileno(), file.fileno(), offset, size - offset)
-
-        def run(k):
-            nonlocal sent
-            out = handle
-            if os.getpid() != writer:
-                out = files[k - 1]
-            elif k:  # its child failed: the runs before it go first, and it takes its file's place
-                send(k - 1)
-                sent = k
-            out.writelines(map(text, runs[k]))
+        def write(k, out):
+            out.writelines(map(text, blocks[runs[k].start:runs[k].stop]))
             out.flush()  # a child leaves without flushing, and this process appends after it
 
-        _split(parts, run)
-        send(len(files))
+        unfinished = _split(len(runs), lambda k: write(k, files[k - 1] if k else handle))
+        for k, file in enumerate(files, start=1):
+            if k in unfinished:
+                write(k, handle)
+                continue
+            size, offset = os.fstat(file.fileno()).st_size, 0
+            while offset < size:
+                offset += os.sendfile(handle.fileno(), file.fileno(), offset, size - offset)
 
 
 def _line(cells) -> str:
@@ -279,9 +267,9 @@ def _write_table(path: Path, header: str, *columns) -> None:
 
 def cmd_table1(args) -> int:
     """Two-row reference table: raw and bagged intervals for n=1 and n=10."""
-    out = _output_dir(args.out)
     _check_count("--B", args.B)
     cfg = _checked("--B/--seed", BagConfig, args.B, seed=args.seed)
+    out = _output_dir(args.out)
     model = GaussianLocationModel(DEFAULT_TAU_SQ, DEFAULT_SIGMA_SQ)
     rows = []
     for tag, n in enumerate((1, 10), start=1):
@@ -337,8 +325,8 @@ def cmd_table1(args) -> int:
 
 def cmd_bag(args) -> int:
     """Full pipeline on user data: report plus raw/bagged CDF curves."""
-    out = _output_dir(args.out)
     model, data, cfg = _resolve(args)
+    out = _output_dir(args.out)
     report = make_report(model, data, cfg, args.level)
     post_iv, bag_iv = report.posterior_interval, report.bagged_interval
 
@@ -381,12 +369,12 @@ def cmd_bag(args) -> int:
 
 def cmd_curves(args) -> int:
     """Long-format CSV of every replicate CDF plus mean and posterior curves."""
-    out = _output_dir(args.out)
     model, data, cfg = _resolve(args)
     grid_spec = _checked("--grid-points", GridSpec, args.grid_points)
     if cfg.replicates < 2:
         raise InputError("--B: a band needs at least 2 replicates")
     _check_count("--B/--grid-points", cfg.replicates * grid_spec.points)
+    out = _output_dir(args.out)
     band = build_band(model, data, cfg, grid_spec)
 
     # one block per curve: the grid template with the curve's id put in,

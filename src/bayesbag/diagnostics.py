@@ -192,16 +192,27 @@ def _usable_cpus() -> int:
     return 1
 
 
-def _split(parts: int, run) -> None:
+def _runs(count: int, cells: int, part_cells: int) -> list[range]:
+    """``range(count)`` cut into contiguous runs: one per usable CPU, and no more than ``cells // part_cells``.
+
+    Run k of ``parts`` is ``range(count * k // parts, count * (k + 1) // parts)``.
+    :func:`_usable_cpus` is asked only when the work could make two runs.
+    """
+    parts = min(count, cells // part_cells)
+    parts = min(parts, _usable_cpus()) if parts > 1 else 1
+    return [range(count * k // parts, count * (k + 1) // parts) for k in range(parts)]
+
+
+def _split(parts: int, run) -> list[int]:
     """Call ``run(k)`` for every part k in ``range(parts)``: part 0 here, every other in a forked child.
 
     A child sets its part's done flag in a shared anonymous mapping once
     ``run`` returns, and leaves through ``os._exit`` alone, so it never
     returns here and flushes no buffer it inherited.  This process reaps
-    every child, then calls ``run`` itself for each part whose flag is
-    unset: one whose fork raised ``OSError``, or whose child raised or was
-    killed.  So every part has run to its end when this returns, and an
-    error is the one a serial run of the parts, in order, raises.
+    every child, then returns, in order, the parts whose flag is unset: one
+    whose fork raised ``OSError``, or whose child raised or was killed.  A
+    caller that runs those itself, in order, has run every part to its end,
+    and meets the error a serial run of the parts, in order, raises.
     """
     import mmap  # here, so that a process that never splits does not load it
     done = mmap.mmap(-1, parts)
@@ -224,34 +235,30 @@ def _split(parts: int, run) -> None:
         for pid in children:
             with contextlib.suppress(ChildProcessError):  # reaped already where SIGCHLD is ignored
                 os.waitpid(pid, 0)
-    for k in range(1, parts):
-        if not done[k]:
-            run(k)
+    return [k for k in range(1, parts) if not done[k]]
 
 
 def _mixture_curve(mix, grid: np.ndarray) -> np.ndarray:
-    """:func:`_chunked_curve`, split into contiguous parts of the grid across CPUs when it is large.
+    """:func:`_chunked_curve`, split into contiguous runs of the grid across CPUs when it is large.
 
-    Each part keeps at least ``_SPLIT_MIN_CELLS`` cells.  :func:`_split`
-    runs the parts; each writes its values into one shared anonymous
-    mapping.  Every point is reduced by the same code, so the curve, and
-    any error, are those of a serial run.
+    :func:`_runs` plans runs of about ``_SPLIT_MIN_CELLS`` cells or more,
+    and :func:`_split` runs them; each writes its values into one shared
+    anonymous mapping, and this process runs any that did not finish.
+    Every point is reduced by the same code, so the curve, and any error,
+    are those of a serial run.
     """
-    min_points = -(-_SPLIT_MIN_CELLS // len(mix))  # rounded up
-    parts = grid.shape[0] // min_points
-    if parts > 1:
-        parts = min(parts, _usable_cpus())
-    if parts < 2:
+    runs = _runs(grid.shape[0], grid.shape[0] * len(mix), _SPLIT_MIN_CELLS)
+    if len(runs) < 2:
         return _chunked_curve(mix, grid)
     import mmap
     curve = np.frombuffer(mmap.mmap(-1, 8 * grid.shape[0]), dtype=float)
-    pieces = list(zip(np.array_split(grid, parts), np.array_split(curve, parts)))
 
     def run(k):
-        points, out = pieces[k]
-        out[:] = _chunked_curve(mix, points)
+        points = slice(runs[k].start, runs[k].stop)
+        curve[points] = _chunked_curve(mix, grid[points])
 
-    _split(parts, run)
+    for k in _split(len(runs), run):
+        run(k)
     return curve.copy()
 
 

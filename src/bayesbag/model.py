@@ -37,32 +37,30 @@ a grid evaluation bit for bit.
 
 from __future__ import annotations
 
-import importlib.util
 import math
 import numbers
 import operator
 import statistics
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 
-def _lazy_numpy():
-    """numpy, run at its first attribute access (the closed form and the value types use none).
+class _LazyNumpy:
+    """numpy, imported at the first attribute read (the closed form and the value types read none).
 
-    Until then ``sys.modules["numpy"]`` holds the stub and ``"numpy._core"`` is absent.
+    Each attribute read is kept on this object.  ``import numpy`` holds the
+    import system's lock on the module, so threads that read first at once
+    wait for one import; ``sys.modules["numpy"]`` only ever holds numpy.
     """
-    if "numpy" not in sys.modules:
-        spec = importlib.util.find_spec("numpy")
-        if spec is None:
-            raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        sys.modules["numpy"] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules["numpy"])
-    return sys.modules["numpy"]
+
+    def __getattr__(self, name):
+        import numpy
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
 
 
-np = _lazy_numpy()
+np = _LazyNumpy()
 
 __all__ = [
     "GaussianLocationModel",

@@ -147,8 +147,8 @@ class TestTable1:
         assert result.stdout.splitlines()[-2:] == ["[]", "[]"]
 
     def test_exact_table1_loads_no_numpy(self, tmp_path):
-        # the closed form is pure Python; numpy is a lazy stub in
-        # sys.modules until something uses it, so its real package is the test
+        # the closed form is pure Python; numpy is imported at the first
+        # read of one of its names, so its real package is the test
         code = (
             "import sys\n"
             "from bayesbag.cli import entrypoint\n"
@@ -169,6 +169,32 @@ class TestTable1:
         assert (tmp_path / "exact" / "table1.csv").read_bytes() == (
             tmp_path / "here" / "table1.csv"
         ).read_bytes()
+
+    def test_first_numpy_use_from_threads_at_once(self):
+        # eight threads reach numpy's first use together, in a process that
+        # has not imported it yet; every one must see the whole module
+        code = (
+            "import sys, threading\n"
+            "from bayesbag import MixtureCdf, credible_interval\n"
+            "assert 'numpy._core' not in sys.modules\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "barrier, errors = threading.Barrier(8), []\n"
+            "def work():\n"
+            "    barrier.wait()\n"
+            "    try:\n"
+            "        credible_interval(MixtureCdf([0.0, 1.0], [1.0, 1.0]))\n"
+            "    except Exception as exc:\n"
+            "        errors.append(repr(exc))\n"
+            "threads = [threading.Thread(target=work) for _ in range(8)]\n"
+            "for thread in threads:\n"
+            "    thread.start()\n"
+            "for thread in threads:\n"
+            "    thread.join(timeout=60)\n"
+            "print(errors, sum(thread.is_alive() for thread in threads))\n"
+        )
+        result = run_python("-c", code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[] 0"
 
     def test_library_use_leaves_the_environment_alone(self, tmp_path):
         # importing the package and calling main as a library set no
@@ -520,7 +546,7 @@ class TestSplitCsv:
     def serial(self, tmp_path, monkeypatch):
         """The files of a serial run."""
         with monkeypatch.context() as serial_only:
-            serial_only.setattr(cli, "_usable_cpus", lambda: 1)
+            serial_only.setattr(diagnostics, "_usable_cpus", lambda: 1)
             assert main([*self.FLAGS, "--out", str(tmp_path / "serial")]) == 0
         return {name: (tmp_path / "serial" / name).read_bytes() for name in self.FILES}
 
@@ -529,7 +555,7 @@ class TestSplitCsv:
         """Forces a 3-part split; the list returned collects the pid of each child forked."""
         monkeypatch.setattr(cli, "_TABLE_BLOCK_ROWS", 301)
         monkeypatch.setattr(cli, "_CSV_PART_CELLS", 401)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: 3)
         made, fork = [], os.fork
 
         def counted():
@@ -616,7 +642,7 @@ class TestSplitCsv:
 
         monkeypatch.setattr(cli, "_fill", poisoned_fill)
         with monkeypatch.context() as serial_only:
-            serial_only.setattr(cli, "_usable_cpus", lambda: 1)
+            serial_only.setattr(diagnostics, "_usable_cpus", lambda: 1)
             assert main([*self.FLAGS, "--out", str(tmp_path / "serial")]) == 1
         assert capsys.readouterr().err == f"internal error: curve {failing[0]}\n"
         assert main([*self.FLAGS, "--out", str(tmp_path / "split")]) == 1
@@ -633,8 +659,8 @@ class TestSplitCsv:
         flags = ["bag", "--synthetic-n", "200", "--scheme", "nonparametric", "--B", "50"]
         code = (
             "import os, sys\n"
-            "from bayesbag import cli\n"
-            "cli._TABLE_BLOCK_ROWS, cli._CSV_PART_CELLS, cli._usable_cpus = 64, 100, lambda: 3\n"
+            "from bayesbag import cli, diagnostics\n"
+            "cli._TABLE_BLOCK_ROWS, cli._CSV_PART_CELLS, diagnostics._usable_cpus = 64, 100, lambda: 3\n"
             "forks, fork = [], os.fork\n"
             "os.fork = lambda: forks.append(os.getpid()) or fork()\n"
             "sys.argv = ['bayesbag', *sys.argv[1:]]\n"
@@ -648,7 +674,7 @@ class TestSplitCsv:
         assert split.returncode == 0, split.stderr
         *lines, last = split.stdout.splitlines()
         assert last == "forks: 3"
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: 1)
         assert main([*flags, "--out", str(tmp_path / "serial")]) == 0
         assert lines == capsys.readouterr().out.splitlines()
         assert len(lines) == len(set(lines))
@@ -867,6 +893,22 @@ class TestInputErrors:
         assert captured.out == ""
         assert captured.err.startswith(f"error: --out {taken}: ")
         assert taken.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1", "--mc", "--B", "0"],
+            ["bag", "--input", "MISSING"],
+            ["curves", "--synthetic-n", "5", "--grid-points", "1"],
+        ],
+        ids=["table1", "bag", "curves"],
+    )
+    def test_refused_run_creates_no_out_directory(self, tmp_path, capsys, argv):
+        out = tmp_path / "a" / "b"
+        argv = [str(tmp_path / "missing.csv") if a == "MISSING" else a for a in argv]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "a").exists()
 
     @settings(
         max_examples=80,

@@ -9,6 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from bayesbag import (
     BagConfig,
@@ -29,7 +30,7 @@ from bayesbag import (
 )
 from bayesbag.bagging import _component_values, _mixture_mean
 from bayesbag import diagnostics
-from bayesbag.diagnostics import _chunked_curve, _mixture_curve, _usable_cpus
+from bayesbag.diagnostics import _chunked_curve, _mixture_curve, _runs, _split, _usable_cpus
 from bayesbag.model import _KERNEL_BLOCK, _normal_cdf
 
 MODEL = GaussianLocationModel(tau_sq=4.0, sigma_sq=1.0)
@@ -335,7 +336,7 @@ class TestSplitBagCurve:
         finally:
             signal.signal(signal.SIGCHLD, previous)
         assert len(forks) == 2
-        assert evaluated == [np.array_split(grid, 3)[0].shape[0]]
+        assert evaluated == [401 // 3]  # the first of 3 runs, range(0, 133)
         assert curve.tobytes() == chunked(mix, grid).tobytes()
         assert_no_child_left()
 
@@ -360,6 +361,56 @@ class TestSplitBagCurve:
         assert str(split.value) == str(serial.value) == f"part {poisoned}"
         assert len(forks) == 2
         assert_no_child_left()
+
+
+@given(
+    count=st.integers(0, 1000),
+    cells=st.integers(0, 10**6),
+    part_cells=st.integers(1, 10**5),
+    usable=st.integers(1, 64),
+)
+def test_runs_cover_the_work_in_order(count, cells, part_cells, usable):
+    asked = []
+    with pytest.MonkeyPatch.context() as patch:  # forks nothing: only the CPU count is read
+        patch.setattr(diagnostics, "_usable_cpus", lambda: asked.append(usable) or usable)
+        runs = _runs(count, cells, part_cells)
+    could = min(count, cells // part_cells)
+    assert len(runs) == max(1, min(could, usable))
+    assert asked == ([usable] if could >= 2 else [])
+    assert [index for run in runs for index in run] == list(range(count))
+    assert all(run.step == 1 for run in runs)
+    assert [run.stop for run in runs[:-1]] == [run.start for run in runs[1:]]
+    assert max(map(len, runs)) - min(map(len, runs)) <= 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="_split forks")
+@pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
+@pytest.mark.parametrize("failure", ["fork", "raises", "killed"])
+def test_split_returns_the_unfinished_parts_in_order(monkeypatch, failure):
+    # parts 1 and 3 of 4 fail in the way named; 0 and 2 run to their end
+    import mmap
+
+    ran, parent, failing, fork = mmap.mmap(-1, 4), os.getpid(), {1, 3}, os.fork
+    forked = []
+
+    def fork_or_refuse():
+        forked.append(len(forked) + 1)  # the part this fork is for
+        if failure == "fork" and forked[-1] in failing:
+            raise OSError("no fork")
+        return fork()
+
+    def run(k):
+        if os.getpid() != parent and k in failing:
+            if failure == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise MemoryError(f"part {k}")
+        ran[k] = 1
+
+    monkeypatch.setattr(os, "fork", fork_or_refuse)
+    assert _split(4, run) == [1, 3]
+    assert ran[:] == bytes([1, 0, 1, 0])
+    assert forked == [1, 2, 3]
+    assert_no_child_left()
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the grid split is Linux-only")

@@ -274,39 +274,53 @@ def test_every_private_name_is_referenced(module):
     assert sorted(defined - referenced) == []
 
 
-def fork_callers(source: str) -> list[str]:
-    """Per ``os.fork`` call in ``source``, the innermost function holding it, or ``"<module>"``."""
-    callers = []
+def callers(source: str, name: str) -> list[str]:
+    """Per call of ``name`` in ``source``, the innermost function holding it, or ``"<module>"``.
 
-    def visit(node, name):
+    A call of ``name`` is one whose callee reads ``name`` or ``<anything>.name``.
+    """
+    found = []
+
+    def visit(node, function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if (
-                isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                and child.func.attr == "fork" and isinstance(child.func.value, ast.Name)
-                and child.func.value.id == "os"
-            ):
-                callers.append(name)
-            visit(child, name)
+            if isinstance(child, ast.Call) and f".{ast.unparse(child.func)}".endswith(f".{name}"):
+                found.append(function)
+            visit(child, function)
 
     visit(ast.parse(source), "<module>")
-    return callers
+    return found
 
 
 def test_fork_guard_sees_a_second_call_site():
     source = (Path(bayesbag.__file__).parent / "diagnostics.py").read_text(encoding="utf-8")
     copied = source + "\n\ndef _second_split():\n    if os.fork() == 0:\n        os._exit(0)\n"
-    assert fork_callers(copied) == [*fork_callers(source), "_second_split"]
-    assert fork_callers("import os\nos.fork()\n") == ["<module>"]
+    assert callers(copied, "os.fork") == [*callers(source, "os.fork"), "_second_split"]
+    assert callers("import os\nos.fork()\n", "os.fork") == ["<module>"]
 
 
 def test_one_function_forks():
     # the bagged-curve split and the CSV split share one fork, reap and
     # done-flag loop, so the two cannot drift apart
-    callers = [name for path in SOURCES for name in fork_callers(path.read_text(encoding="utf-8"))]
-    assert callers == ["_split"]
+    found = [name for path in SOURCES for name in callers(path.read_text(encoding="utf-8"), "os.fork")]
+    assert found == ["_split"]
+
+
+def test_cpu_count_guard_sees_a_second_call_site():
+    source = (Path(bayesbag.__file__).parent / "diagnostics.py").read_text(encoding="utf-8")
+    copied = source + "\n\ndef _second_plan(n):\n    return min(n, diagnostics._usable_cpus())\n"
+    assert callers(copied, "_usable_cpus") == [*callers(source, "_usable_cpus"), "_second_plan"]
+    assert callers("_usable_cpus()\n", "_usable_cpus") == ["<module>"]
+    assert callers("_not_usable_cpus()\n", "_usable_cpus") == []
+
+
+def test_one_function_counts_cpus():
+    # the bagged-curve split and the CSV split take their runs from one
+    # planner, so whether and how work splits is decided in one place
+    found = [name for path in SOURCES for name in callers(path.read_text(encoding="utf-8"), "_usable_cpus")]
+    assert found == ["_runs"]
 
 
 def names_read(source: str) -> set[str]:
