@@ -24,14 +24,7 @@ from .bagging import (
     bayesbag_mc,
     credible_interval,
 )
-from .diagnostics import (
-    DEFAULT_GRID_POINTS,
-    GridSpec,
-    _runs,
-    _split,
-    build_band,
-    make_report,
-)
+from .diagnostics import DEFAULT_GRID_POINTS, GridSpec, build_band, make_report
 from .model import Dataset, GaussianLocationModel, np, posterior
 from .resampling import CenterPolicy, ResampleScheme, SchemeKind, Seed
 
@@ -199,11 +192,74 @@ def _output_dir(path: Path) -> Path:
     return path
 
 
+def _usable_cpus() -> int:
+    """CPUs that work may be split across: 1 unless this is a single-threaded Linux process.
+
+    A forked child holds only the thread that forked it, so a lock that
+    another thread (a BLAS pool, say) held at the fork would never be
+    released in the child.
+    """
+    if sys.platform != "linux" or not hasattr(os, "fork"):
+        return 1
+    try:
+        if len(os.listdir("/proc/self/task")) == 1:
+            return len(os.sched_getaffinity(0))
+    except OSError:  # no /proc to count threads in
+        pass
+    return 1
+
+
+def _runs(count: int, cells: int, part_cells: int) -> list[range]:
+    """``range(count)`` cut into contiguous runs: one per usable CPU, and no more than ``cells // part_cells``.
+
+    Run k of ``parts`` is ``range(count * k // parts, count * (k + 1) // parts)``.
+    :func:`_usable_cpus` is asked only when the work could make two runs.
+    """
+    parts = min(count, cells // part_cells)
+    parts = min(parts, _usable_cpus()) if parts > 1 else 1
+    return [range(count * k // parts, count * (k + 1) // parts) for k in range(parts)]
+
+
+def _split(parts: int, run) -> list[int]:
+    """Call ``run(k)`` for every part k in ``range(parts)``: part 0 here, every other in a forked child.
+
+    A child sets its part's done flag in a shared anonymous mapping once
+    ``run`` returns, and leaves through ``os._exit`` alone, so it never
+    returns here and flushes no buffer it inherited.  This process reaps
+    every child, then returns, in order, the parts whose flag is unset: one
+    whose fork raised ``OSError``, or whose child raised or was killed.  A
+    caller that runs those itself, in order, has run every part to its end,
+    and meets the error a serial run of the parts, in order, raises.
+    """
+    import mmap  # here, so that a process that never splits does not load it
+    done = mmap.mmap(-1, parts)
+    children = []
+    for k in range(1, parts):
+        try:
+            pid = os.fork()
+        except OSError:
+            continue
+        if pid == 0:  # the child: it answers through what run writes and its flag alone
+            try:
+                run(k)
+                done[k] = 1
+            finally:
+                os._exit(0)
+        children.append(pid)
+    try:
+        run(0)
+    finally:
+        for pid in children:
+            with contextlib.suppress(ChildProcessError):  # reaped already where SIGCHLD is ignored
+                os.waitpid(pid, 0)
+    return [k for k in range(1, parts) if not done[k]]
+
+
 def _write_csv(path: Path, header: str, blocks, text=str, cells: int = 0) -> None:
     """Write ``header``, then ``text(block)``, a string of whole lines, for each of ``blocks`` in order.
 
-    ``text`` formats ``cells`` cells in all.  ``diagnostics._runs`` cuts the
-    blocks into runs, and ``diagnostics._split`` has forked children format
+    ``text`` formats ``cells`` cells in all.  :func:`_runs` cuts the
+    blocks into runs, and :func:`_split` has forked children format
     all but the first into anonymous memory files while this process formats
     the first into the file.  It then appends each finished run's memory
     file, in order, by ``os.sendfile``, so it never holds that text, and
@@ -326,6 +382,8 @@ def cmd_table1(args) -> int:
 def cmd_bag(args) -> int:
     """Full pipeline on user data: report plus raw/bagged CDF curves."""
     model, data, cfg = _resolve(args)
+    if cfg.scheme.kind is SchemeKind.PARAMETRIC_BOOTSTRAP:  # the report's closed form
+        _checked("--tau-sq/--sigma-sq", bayesbag_exact, model, data, cfg.center_policy)
     out = _output_dir(args.out)
     report = make_report(model, data, cfg, args.level)
     post_iv, bag_iv = report.posterior_interval, report.bagged_interval

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
-import os
-import sys
 from dataclasses import dataclass
 
 from .bagging import (
@@ -19,7 +16,7 @@ from .bagging import (
     credible_interval,
 )
 from .model import _KERNEL_BLOCK, Dataset, GaussianLocationModel, NormalDist, _count, _normal_cdf, np, posterior
-from .resampling import CenterPolicy, SchemeKind
+from .resampling import SchemeKind
 
 __all__ = [
     "GridSpec",
@@ -32,9 +29,6 @@ __all__ = [
 ]
 
 DEFAULT_GRID_POINTS = 401
-# cells that each process keeps when a bagged curve is split across CPUs:
-# about 40 ms of _ndtr work, against 1-2 ms to fork a child (2-CPU Xeon VM)
-_SPLIT_MIN_CELLS = 2**20
 
 
 @dataclass(frozen=True)
@@ -50,27 +44,21 @@ class GridSpec:
         object.__setattr__(self, "points", points)
 
 
-def evaluation_grid(
-    model: GaussianLocationModel,
-    data: Dataset,
-    spec: GridSpec | None = None,
-    center_policy: CenterPolicy = CenterPolicy.SAMPLE_MEAN,
-) -> np.ndarray:
-    """Equally spaced grid reaching 6 bagged sd beyond the posterior and bagged means.
+def evaluation_grid(post: NormalDist, mix: MixtureCdf, spec: GridSpec | None = None) -> np.ndarray:
+    """Equally spaced grid reaching 6 component sd beyond the posterior mean and every component mean.
 
-    The bagged mean is that of :func:`bayesbag_exact` under
-    ``center_policy``.  Under sample-mean centering it equals the posterior
-    mean bit for bit, so the grid is the posterior mean +/- 6 bagged sd;
-    under MAP centering the bagged mean is shrunk further towards 0, and the
-    grid stretches to cover both.  The bagged sd does not depend on the
-    center.
+    Each component's CDF, and so the mixture's, is at most Phi(-6), about
+    1e-9, at the lower end and at least 1 - Phi(-6) at the upper end,
+    however widely the component means spread.  The sd is the largest
+    component's; every Monte Carlo component has the same one, at least the
+    posterior's.  For the closed form, the one component N(m, v), the grid
+    runs 6 sqrt(v) beyond the posterior mean and m; under sample-mean
+    centering m equals the posterior mean bit for bit.
     """
     if spec is None:
         spec = GridSpec()
-    post_mean = posterior(model, data).mean
-    bag = bayesbag_exact(model, data, center_policy)
-    span = 6.0 * bag.sd
-    lo, hi = min(post_mean, bag.mean), max(post_mean, bag.mean)
+    span = 6.0 * mix.sds.max()
+    lo, hi = min(post.mean, mix.means.min()), max(post.mean, mix.means.max())
     return np.linspace(lo - span, hi + span, spec.points)
 
 
@@ -137,7 +125,8 @@ def build_band(
     if cfg.replicates < 2:
         raise ValueError("need at least 2 replicates for a band")
     mix = bayesbag_mc(model, data, cfg)
-    grid = evaluation_grid(model, data, grid_spec, cfg.center_policy)
+    post = posterior(model, data)
+    grid = evaluation_grid(post, mix, grid_spec)
     values = np.empty((grid.shape[0], len(mix)))
     mean_curve = _chunked_curve(mix, grid, values)
     return CdfBand(
@@ -146,7 +135,7 @@ def build_band(
         values.min(axis=1),
         values.max(axis=1),
         mean_curve,
-        _normal_curve(posterior(model, data), grid),
+        _normal_curve(post, grid),
     )
 
 
@@ -175,111 +164,25 @@ def _chunked_curve(mix, grid: np.ndarray, values: np.ndarray | None = None) -> n
     return curve
 
 
-def _usable_cpus() -> int:
-    """CPUs that work may be split across: 1 unless this is a single-threaded Linux process.
-
-    A forked child holds only the thread that forked it, so a lock that
-    another thread (a BLAS pool, say) held at the fork would never be
-    released in the child.
-    """
-    if sys.platform != "linux" or not hasattr(os, "fork"):
-        return 1
-    try:
-        if len(os.listdir("/proc/self/task")) == 1:
-            return len(os.sched_getaffinity(0))
-    except OSError:  # no /proc to count threads in
-        pass
-    return 1
-
-
-def _runs(count: int, cells: int, part_cells: int) -> list[range]:
-    """``range(count)`` cut into contiguous runs: one per usable CPU, and no more than ``cells // part_cells``.
-
-    Run k of ``parts`` is ``range(count * k // parts, count * (k + 1) // parts)``.
-    :func:`_usable_cpus` is asked only when the work could make two runs.
-    """
-    parts = min(count, cells // part_cells)
-    parts = min(parts, _usable_cpus()) if parts > 1 else 1
-    return [range(count * k // parts, count * (k + 1) // parts) for k in range(parts)]
-
-
-def _split(parts: int, run) -> list[int]:
-    """Call ``run(k)`` for every part k in ``range(parts)``: part 0 here, every other in a forked child.
-
-    A child sets its part's done flag in a shared anonymous mapping once
-    ``run`` returns, and leaves through ``os._exit`` alone, so it never
-    returns here and flushes no buffer it inherited.  This process reaps
-    every child, then returns, in order, the parts whose flag is unset: one
-    whose fork raised ``OSError``, or whose child raised or was killed.  A
-    caller that runs those itself, in order, has run every part to its end,
-    and meets the error a serial run of the parts, in order, raises.
-    """
-    import mmap  # here, so that a process that never splits does not load it
-    done = mmap.mmap(-1, parts)
-    children = []
-    for k in range(1, parts):
-        try:
-            pid = os.fork()
-        except OSError:
-            continue
-        if pid == 0:  # the child: it answers through what run writes and its flag alone
-            try:
-                run(k)
-                done[k] = 1
-            finally:
-                os._exit(0)
-        children.append(pid)
-    try:
-        run(0)
-    finally:
-        for pid in children:
-            with contextlib.suppress(ChildProcessError):  # reaped already where SIGCHLD is ignored
-                os.waitpid(pid, 0)
-    return [k for k in range(1, parts) if not done[k]]
-
-
-def _mixture_curve(mix, grid: np.ndarray) -> np.ndarray:
-    """:func:`_chunked_curve`, split into contiguous runs of the grid across CPUs when it is large.
-
-    :func:`_runs` plans runs of about ``_SPLIT_MIN_CELLS`` cells or more,
-    and :func:`_split` runs them; each writes its values into one shared
-    anonymous mapping, and this process runs any that did not finish.
-    Every point is reduced by the same code, so the curve, and any error,
-    are those of a serial run.
-    """
-    runs = _runs(grid.shape[0], grid.shape[0] * len(mix), _SPLIT_MIN_CELLS)
-    if len(runs) < 2:
-        return _chunked_curve(mix, grid)
-    import mmap
-    curve = np.frombuffer(mmap.mmap(-1, 8 * grid.shape[0]), dtype=float)
-
-    def run(k):
-        points = slice(runs[k].start, runs[k].stop)
-        curve[points] = _chunked_curve(mix, grid[points])
-
-    for k in _split(len(runs), run):
-        run(k)
-    return curve.copy()
-
-
 def bagged_cdf_curves(model: GaussianLocationModel, data: Dataset, cfg: BagConfig):
-    """Raw posterior and bagged CDF curves on the default grid, and the bag they measure.
+    """Raw posterior and bagged CDF curves on the default grid that covers both, and the bag they measure.
 
     The parametric scheme takes the closed form (method ``"exact"``), which
     uses neither ``cfg.replicates`` nor ``cfg.seed``, as a one-component
     mixture; every other scheme takes Monte Carlo (method ``"mc(B=...)"``).
-    The bagged curve is that mixture's; a one-component curve is its normal's
-    bit for bit.  Returns ``(grid, posterior_curve, bagged_curve, mixture,
-    method)``.
+    The grid is :func:`evaluation_grid`'s for the posterior and that
+    mixture, and the bagged curve is the mixture's; a one-component curve
+    is its normal's bit for bit.  Returns ``(grid, posterior_curve,
+    bagged_curve, mixture, method)``.
     """
-    grid = evaluation_grid(model, data, center_policy=cfg.center_policy)
-    post_curve = _normal_curve(posterior(model, data), grid)
+    post = posterior(model, data)
     if cfg.scheme.kind is SchemeKind.PARAMETRIC_BOOTSTRAP:
         bag = bayesbag_exact(model, data, cfg.center_policy)
         mix, method = MixtureCdf([bag.mean], [bag.variance]), "exact"
     else:
         mix, method = bayesbag_mc(model, data, cfg), f"mc(B={cfg.replicates})"
-    return grid, post_curve, _mixture_curve(mix, grid), mix, method
+    grid = evaluation_grid(post, mix)
+    return grid, _normal_curve(post, grid), _chunked_curve(mix, grid), mix, method
 
 
 def make_report(

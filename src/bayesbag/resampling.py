@@ -377,9 +377,17 @@ def _bootstrap_mean_moments(model: GaussianLocationModel, n: int, center: float)
 
     The variance underflows to 0 when ``n + sigma_sq / tau_sq`` is huge;
     the bagged variance adds the positive posterior variance, so it never does.
+    Raises ``ValueError`` when ``n * sigma_sq`` overflows, as it can where
+    the variance itself would not.
     """
     shrink = n + model.sigma_sq / model.tau_sq
-    return n * center / shrink, n * model.sigma_sq / (shrink * shrink)
+    spread = n * model.sigma_sq
+    if math.isinf(spread):
+        raise ValueError(
+            f"n * sigma_sq ({n} * {model.sigma_sq:.3g}) overflows, "
+            "so the parametric bootstrap's closed form cannot be computed"
+        )
+    return n * center / shrink, spread / (shrink * shrink)
 
 
 def bootstrap_mean_law(

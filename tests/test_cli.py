@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -38,15 +39,16 @@ from bayesbag.cli import (
     _derived_master,
     _fill,
     _grid_template,
+    _runs,
+    _split,
+    _usable_cpus,
     _write_table,
     main,
     read_observations,
     synthetic_dataset,
 )
-from bayesbag import diagnostics
 from bayesbag.diagnostics import DEFAULT_GRID_POINTS
 from bayesbag.model import _normal_cdf
-from test_diagnostics import assert_no_child_left
 
 MODEL = GaussianLocationModel(4.0, 1.0)
 
@@ -79,6 +81,9 @@ def run_python(*args, **env):
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=environ, timeout=120
     )
+
+
+WIDE_DRAWS = [repr(v) for v in (10.0 * np.random.default_rng(7).standard_normal(100)).tolist()]
 
 
 class TestTable1:
@@ -234,10 +239,9 @@ class TestTable1:
 
 
 class TestBag:
-    @pytest.mark.skipif(sys.platform != "linux", reason="the grid split is Linux-only")
-    def test_split_grid_writes_the_serial_bytes_and_leaves_no_child(self, tmp_path, capsys, monkeypatch):
-        # 6,000 replicates x 401 points make two parts of at least 2**20 cells;
-        # the fresh interpreter is single-threaded, so it splits on 2 or more CPUs
+    def test_monte_carlo_curve_forks_no_child(self, tmp_path):
+        # 6,000 replicates x 401 points: the bagged curve is evaluated in this
+        # process, and cdf.csv's 1,203 cells are too few to split its writing
         flags = ["bag", "--synthetic-n", "20", "--scheme", "nonparametric", "--B", "6000"]
         code = (
             "import os, sys\n"
@@ -249,20 +253,35 @@ class TestBag:
             "    entrypoint()\n"
             "except SystemExit as exit:\n"
             "    assert exit.code == 0, exit.code\n"
-            "try:\n"
-            "    os.waitpid(-1, os.WNOHANG)\n"
-            "except ChildProcessError:\n"
-            "    print('forks:', len(forks))\n"
+            "print('forks:', len(forks))\n"
         )
-        split = run_python("-c", code, *flags, "--out", str(tmp_path / "split"))
-        assert split.returncode == 0, split.stderr
-        *lines, last = split.stdout.splitlines()
-        assert last == f"forks: {int(len(os.sched_getaffinity(0)) > 1)}"
-        monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: 1)
-        assert main([*flags, "--out", str(tmp_path / "serial")]) == 0
-        assert capsys.readouterr().out.splitlines() == lines
-        for name in ("report.csv", "cdf.csv", "data.csv"):
-            assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+        result = run_python("-c", code, *flags, "--out", str(tmp_path))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "forks: 0"
+
+    @pytest.mark.parametrize(
+        "lines, flags",
+        [
+            # 100 draws of N(0, 10**2) against the model's sigma_sq of 1: the
+            # replicate means spread ten times wider than the closed form says
+            *[
+                (WIDE_DRAWS, ["--sigma-sq", "1", "--scheme", scheme])
+                for scheme in ("nonparametric", "subsample")
+            ],
+            # replicate posterior means of about -6.7e159, 0 and 6.7e159, each
+            # with sd 5.8e149, whose variance overflows a float
+            (["x", "1e160", "-1e160"],
+             ["--tau-sq", "1e300", "--sigma-sq", "1e300", "--scheme", "nonparametric", "--B", "400"]),
+        ],
+        ids=["wide-nonparametric", "wide-subsample", "near-largest-floats"],
+    )
+    def test_grid_covers_the_bag_it_plots(self, tmp_path, lines, flags):
+        write_lines(tmp_path / "data.csv", lines)
+        assert main(["bag", "--input", str(tmp_path / "data.csv"), *flags, "--out", str(tmp_path)]) == 0
+        grid, _, bagged = np.loadtxt(tmp_path / "cdf.csv", delimiter=",", skiprows=1).T
+        (row,) = read_rows(tmp_path / "report.csv")
+        assert bagged[0] < 1e-6 and bagged[-1] > 1 - 1e-6
+        assert grid[0] < float(row["bayesbag_lo"]) < float(row["bayesbag_hi"]) < grid[-1]
 
     def test_single_value_file_matches_reference_row(self, tmp_path):
         data_file = tmp_path / "obs.csv"
@@ -524,6 +543,74 @@ class TestFloatCsv:
         assert (tmp_path / "cdf.csv").read_bytes() == per_cell_csv("h", rows)
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@given(
+    count=st.integers(0, 1000),
+    cells=st.integers(0, 10**6),
+    part_cells=st.integers(1, 10**5),
+    usable=st.integers(1, 64),
+)
+def test_runs_cover_the_work_in_order(count, cells, part_cells, usable):
+    asked = []
+    with pytest.MonkeyPatch.context() as patch:  # forks nothing: only the CPU count is read
+        patch.setattr(cli, "_usable_cpus", lambda: asked.append(usable) or usable)
+        runs = _runs(count, cells, part_cells)
+    could = min(count, cells // part_cells)
+    assert len(runs) == max(1, min(could, usable))
+    assert asked == ([usable] if could >= 2 else [])
+    assert [index for run in runs for index in run] == list(range(count))
+    assert all(run.step == 1 for run in runs)
+    assert [run.stop for run in runs[:-1]] == [run.start for run in runs[1:]]
+    assert max(map(len, runs)) - min(map(len, runs)) <= 1
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="_split forks")
+@pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
+@pytest.mark.parametrize("failure", ["fork", "raises", "killed"])
+def test_split_returns_the_unfinished_parts_in_order(monkeypatch, failure):
+    # parts 1 and 3 of 4 fail in the way named; 0 and 2 run to their end
+    import mmap
+
+    ran, parent, failing, fork = mmap.mmap(-1, 4), os.getpid(), {1, 3}, os.fork
+    forked = []
+
+    def fork_or_refuse():
+        forked.append(len(forked) + 1)  # the part this fork is for
+        if failure == "fork" and forked[-1] in failing:
+            raise OSError("no fork")
+        return fork()
+
+    def run(k):
+        if os.getpid() != parent and k in failing:
+            if failure == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise MemoryError(f"part {k}")
+        ran[k] = 1
+
+    monkeypatch.setattr(os, "fork", fork_or_refuse)
+    assert _split(4, run) == [1, 3]
+    assert ran[:] == bytes([1, 0, 1, 0])
+    assert forked == [1, 2, 3]
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the CSV split is Linux-only")
+def test_no_split_while_another_thread_runs():
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert _usable_cpus() == 1
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
 @pytest.mark.skipif(not hasattr(os, "memfd_create"), reason="the CSV split forks and writes memory files")
 # a 3.12+ interpreter warns on a fork while a BLAS pool runs; the children never use it
 @pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
@@ -546,7 +633,7 @@ class TestSplitCsv:
     def serial(self, tmp_path, monkeypatch):
         """The files of a serial run."""
         with monkeypatch.context() as serial_only:
-            serial_only.setattr(diagnostics, "_usable_cpus", lambda: 1)
+            serial_only.setattr(cli, "_usable_cpus", lambda: 1)
             assert main([*self.FLAGS, "--out", str(tmp_path / "serial")]) == 0
         return {name: (tmp_path / "serial" / name).read_bytes() for name in self.FILES}
 
@@ -555,7 +642,7 @@ class TestSplitCsv:
         """Forces a 3-part split; the list returned collects the pid of each child forked."""
         monkeypatch.setattr(cli, "_TABLE_BLOCK_ROWS", 301)
         monkeypatch.setattr(cli, "_CSV_PART_CELLS", 401)
-        monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
         made, fork = [], os.fork
 
         def counted():
@@ -642,7 +729,7 @@ class TestSplitCsv:
 
         monkeypatch.setattr(cli, "_fill", poisoned_fill)
         with monkeypatch.context() as serial_only:
-            serial_only.setattr(diagnostics, "_usable_cpus", lambda: 1)
+            serial_only.setattr(cli, "_usable_cpus", lambda: 1)
             assert main([*self.FLAGS, "--out", str(tmp_path / "serial")]) == 1
         assert capsys.readouterr().err == f"internal error: curve {failing[0]}\n"
         assert main([*self.FLAGS, "--out", str(tmp_path / "split")]) == 1
@@ -659,8 +746,8 @@ class TestSplitCsv:
         flags = ["bag", "--synthetic-n", "200", "--scheme", "nonparametric", "--B", "50"]
         code = (
             "import os, sys\n"
-            "from bayesbag import cli, diagnostics\n"
-            "cli._TABLE_BLOCK_ROWS, cli._CSV_PART_CELLS, diagnostics._usable_cpus = 64, 100, lambda: 3\n"
+            "from bayesbag import cli\n"
+            "cli._TABLE_BLOCK_ROWS, cli._CSV_PART_CELLS, cli._usable_cpus = 64, 100, lambda: 3\n"
             "forks, fork = [], os.fork\n"
             "os.fork = lambda: forks.append(os.getpid()) or fork()\n"
             "sys.argv = ['bayesbag', *sys.argv[1:]]\n"
@@ -674,7 +761,7 @@ class TestSplitCsv:
         assert split.returncode == 0, split.stderr
         *lines, last = split.stdout.splitlines()
         assert last == "forks: 3"
-        monkeypatch.setattr(diagnostics, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
         assert main([*flags, "--out", str(tmp_path / "serial")]) == 0
         assert lines == capsys.readouterr().out.splitlines()
         assert len(lines) == len(set(lines))
@@ -810,6 +897,9 @@ class TestInputErrors:
             (["curves", "--synthetic-n", "5", "--B", "1"], "--B"),
             (["bag", "--synthetic-n", "5", "--tau-sq", "1e-320"], "--tau-sq"),
             (["bag", "--synthetic-n", "3", "--sigma-sq", "1e-308"], "--sigma-sq"),
+            # the closed form's n * sigma_sq overflows, though the bag's variance would not
+            (["bag", "--synthetic-n", "2", "--sigma-sq", "1e308", "--tau-sq", "1e308"],
+             "--tau-sq/--sigma-sq"),
             (["bag", "--input", "OVERFLOWING_FILE"], "--input"),
             (["bag", "--input", "ONE_VALUE_FILE", "--synthetic-seed", "7"], "--synthetic-seed"),
             (["bag", "--input", "ONE_VALUE_FILE", "--synthetic-theta", "3"], "--synthetic-theta"),
@@ -855,6 +945,7 @@ class TestInputErrors:
             "center-map-nonparametric", "center-map-subsample",
             "table1-mc-B-zero",
             "curves-B-one", "tau-sq-underflow", "sigma-sq-posterior-underflow",
+            "closed-form-spread-overflow",
             "input-sum-overflow", "input-with-synthetic-seed", "input-with-synthetic-theta",
             "input-1e308-nonparametric", "input-1e308-subsample-m1",
             "input-8e307-nonparametric", "input-8e307-subsample-m1",

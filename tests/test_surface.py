@@ -24,7 +24,6 @@ from bayesbag import (
     bayesbag_exact,
     bayesbag_quadrature,
     bootstrap_mean_law,
-    evaluation_grid,
     resample,
 )
 from bayesbag.bagging import DEFAULT_LEVEL
@@ -153,14 +152,13 @@ DATA = Dataset((1.325,))
         lambda: ResampleScheme("subsample"),
         lambda: bayesbag_exact(MODEL, DATA, "map"),
         lambda: bayesbag_quadrature(MODEL, DATA, 0.0, "map"),
-        lambda: evaluation_grid(MODEL, DATA, center_policy="map"),
         lambda: bootstrap_mean_law(MODEL, DATA, "mean"),
         lambda: resample(ResampleScheme.parametric(), MODEL, DATA, "map", Seed(0)),
     ],
     ids=[
         "config-center-str", "config-center-none", "config-scheme-str", "config-scheme-kind",
         "scheme-kind-str", "exact-center-str",
-        "quadrature-center-str", "grid-center-str", "law-center-str", "resample-center-str",
+        "quadrature-center-str", "law-center-str", "resample-center-str",
     ],
 )
 def test_enum_fields_refuse_non_members(build):
@@ -295,32 +293,56 @@ def callers(source: str, name: str) -> list[str]:
 
 
 def test_fork_guard_sees_a_second_call_site():
-    source = (Path(bayesbag.__file__).parent / "diagnostics.py").read_text(encoding="utf-8")
+    source = (Path(bayesbag.__file__).parent / "cli.py").read_text(encoding="utf-8")
     copied = source + "\n\ndef _second_split():\n    if os.fork() == 0:\n        os._exit(0)\n"
     assert callers(copied, "os.fork") == [*callers(source, "os.fork"), "_second_split"]
     assert callers("import os\nos.fork()\n", "os.fork") == ["<module>"]
 
 
 def test_one_function_forks():
-    # the bagged-curve split and the CSV split share one fork, reap and
-    # done-flag loop, so the two cannot drift apart
-    found = [name for path in SOURCES for name in callers(path.read_text(encoding="utf-8"), "os.fork")]
-    assert found == ["_split"]
+    # the CSV writer alone splits work across processes, through one fork,
+    # reap and done-flag loop
+    sources = [path.read_text(encoding="utf-8") for path in SOURCES]
+    assert [name for source in sources for name in callers(source, "os.fork")] == ["_split"]
+    assert [name for source in sources for name in callers(source, "_split")] == ["_write_csv"]
 
 
 def test_cpu_count_guard_sees_a_second_call_site():
-    source = (Path(bayesbag.__file__).parent / "diagnostics.py").read_text(encoding="utf-8")
-    copied = source + "\n\ndef _second_plan(n):\n    return min(n, diagnostics._usable_cpus())\n"
+    source = (Path(bayesbag.__file__).parent / "cli.py").read_text(encoding="utf-8")
+    copied = source + "\n\ndef _second_plan(n):\n    return min(n, _usable_cpus())\n"
     assert callers(copied, "_usable_cpus") == [*callers(source, "_usable_cpus"), "_second_plan"]
     assert callers("_usable_cpus()\n", "_usable_cpus") == ["<module>"]
     assert callers("_not_usable_cpus()\n", "_usable_cpus") == []
 
 
 def test_one_function_counts_cpus():
-    # the bagged-curve split and the CSV split take their runs from one
-    # planner, so whether and how work splits is decided in one place
+    # the CSV writer takes its runs from one planner, so whether and how
+    # work splits is decided in one place
     found = [name for path in SOURCES for name in callers(path.read_text(encoding="utf-8"), "_usable_cpus")]
     assert found == ["_runs"]
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules ``source`` imports, at any depth of its code."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_process_import_guard_sees_a_nested_import():
+    assert imported_modules("def f():\n    import mmap\n    from os import path\n") == {"mmap", "os"}
+    assert imported_modules("from .cli import _split\nimport os.path\n") == {"os"}
+
+
+@pytest.mark.parametrize("module", ["model", "resampling", "bagging", "diagnostics"])
+def test_computing_modules_import_no_process_tools(module):
+    # processes and shared memory belong to the CLI's CSV writer alone
+    source = (Path(bayesbag.__file__).parent / f"{module}.py").read_text(encoding="utf-8")
+    assert imported_modules(source) & {"os", "mmap"} == set()
 
 
 def names_read(source: str) -> set[str]:
