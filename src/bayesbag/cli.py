@@ -220,51 +220,19 @@ def _runs(count: int, cells: int, part_cells: int) -> list[range]:
     return [range(count * k // parts, count * (k + 1) // parts) for k in range(parts)]
 
 
-def _split(parts: int, run) -> list[int]:
-    """Call ``run(k)`` for every part k in ``range(parts)``: part 0 here, every other in a forked child.
-
-    A child sets its part's done flag in a shared anonymous mapping once
-    ``run`` returns, and leaves through ``os._exit`` alone, so it never
-    returns here and flushes no buffer it inherited.  This process reaps
-    every child, then returns, in order, the parts whose flag is unset: one
-    whose fork raised ``OSError``, or whose child raised or was killed.  A
-    caller that runs those itself, in order, has run every part to its end,
-    and meets the error a serial run of the parts, in order, raises.
-    """
-    import mmap  # here, so that a process that never splits does not load it
-    done = mmap.mmap(-1, parts)
-    children = []
-    for k in range(1, parts):
-        try:
-            pid = os.fork()
-        except OSError:
-            continue
-        if pid == 0:  # the child: it answers through what run writes and its flag alone
-            try:
-                run(k)
-                done[k] = 1
-            finally:
-                os._exit(0)
-        children.append(pid)
-    try:
-        run(0)
-    finally:
-        for pid in children:
-            with contextlib.suppress(ChildProcessError):  # reaped already where SIGCHLD is ignored
-                os.waitpid(pid, 0)
-    return [k for k in range(1, parts) if not done[k]]
-
-
 def _write_csv(path: Path, header: str, blocks, text=str, cells: int = 0) -> None:
     """Write ``header``, then ``text(block)``, a string of whole lines, for each of ``blocks`` in order.
 
     ``text`` formats ``cells`` cells in all.  :func:`_runs` cuts the
-    blocks into runs, and :func:`_split` has forked children format
-    all but the first into anonymous memory files while this process formats
-    the first into the file.  It then appends each finished run's memory
-    file, in order, by ``os.sendfile``, so it never holds that text, and
-    formats each unfinished run into the file in its place.  The bytes, and
-    any error, are a serial write's.
+    blocks into runs.  A forked child formats each run after the first into
+    an anonymous memory file, sets the run's done flag in a shared anonymous
+    mapping, and leaves through ``os._exit`` alone, so it never returns here
+    and flushes no buffer it inherited.  This process formats the first run
+    into the file and reaps every child.  It then appends each finished
+    run's memory file, in order, by ``os.sendfile``, so it never holds that
+    text, and formats each unfinished run into the file in its place: one
+    whose fork raised ``OSError``, or whose child raised or was killed.  The
+    bytes, and any error, are a serial write's.
     """
     with open(path, "w", encoding="utf-8", newline="") as handle, contextlib.ExitStack() as stack:
         handle.write(header + "\n")
@@ -284,9 +252,29 @@ def _write_csv(path: Path, header: str, blocks, text=str, cells: int = 0) -> Non
             out.writelines(map(text, blocks[runs[k].start:runs[k].stop]))
             out.flush()  # a child leaves without flushing, and this process appends after it
 
-        unfinished = _split(len(runs), lambda k: write(k, files[k - 1] if k else handle))
+        import mmap  # here, so that a process that never splits does not load it
+        done = mmap.mmap(-1, len(runs))
+        children = []
         for k, file in enumerate(files, start=1):
-            if k in unfinished:
+            try:
+                pid = os.fork()
+            except OSError:
+                continue
+            if pid == 0:  # the child: it answers through its memory file and its flag alone
+                try:
+                    write(k, file)
+                    done[k] = 1
+                finally:
+                    os._exit(0)
+            children.append(pid)
+        try:
+            write(0, handle)
+        finally:
+            for pid in children:
+                with contextlib.suppress(ChildProcessError):  # reaped already where SIGCHLD is ignored
+                    os.waitpid(pid, 0)
+        for k, file in enumerate(files, start=1):
+            if not done[k]:
                 write(k, handle)
                 continue
             size, offset = os.fstat(file.fileno()).st_size, 0

@@ -40,7 +40,6 @@ from bayesbag.cli import (
     _fill,
     _grid_template,
     _runs,
-    _split,
     _usable_cpus,
     _write_table,
     main,
@@ -241,7 +240,8 @@ class TestTable1:
 class TestBag:
     def test_monte_carlo_curve_forks_no_child(self, tmp_path):
         # 6,000 replicates x 401 points: the bagged curve is evaluated in this
-        # process, and cdf.csv's 1,203 cells are too few to split its writing
+        # process, and cdf.csv's 1,203 cells are too few to split its writing,
+        # so the CSV writer's done flags, and mmap with them, are never loaded
         flags = ["bag", "--synthetic-n", "20", "--scheme", "nonparametric", "--B", "6000"]
         code = (
             "import os, sys\n"
@@ -254,10 +254,11 @@ class TestBag:
             "except SystemExit as exit:\n"
             "    assert exit.code == 0, exit.code\n"
             "print('forks:', len(forks))\n"
+            "print('mmap loaded:', 'mmap' in sys.modules)\n"
         )
         result = run_python("-c", code, *flags, "--out", str(tmp_path))
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "forks: 0"
+        assert result.stdout.splitlines()[-2:] == ["forks: 0", "mmap loaded: False"]
 
     @pytest.mark.parametrize(
         "lines, flags",
@@ -568,36 +569,6 @@ def test_runs_cover_the_work_in_order(count, cells, part_cells, usable):
     assert max(map(len, runs)) - min(map(len, runs)) <= 1
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="_split forks")
-@pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
-@pytest.mark.parametrize("failure", ["fork", "raises", "killed"])
-def test_split_returns_the_unfinished_parts_in_order(monkeypatch, failure):
-    # parts 1 and 3 of 4 fail in the way named; 0 and 2 run to their end
-    import mmap
-
-    ran, parent, failing, fork = mmap.mmap(-1, 4), os.getpid(), {1, 3}, os.fork
-    forked = []
-
-    def fork_or_refuse():
-        forked.append(len(forked) + 1)  # the part this fork is for
-        if failure == "fork" and forked[-1] in failing:
-            raise OSError("no fork")
-        return fork()
-
-    def run(k):
-        if os.getpid() != parent and k in failing:
-            if failure == "killed":
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise MemoryError(f"part {k}")
-        ran[k] = 1
-
-    monkeypatch.setattr(os, "fork", fork_or_refuse)
-    assert _split(4, run) == [1, 3]
-    assert ran[:] == bytes([1, 0, 1, 0])
-    assert forked == [1, 2, 3]
-    assert_no_child_left()
-
-
 @pytest.mark.skipif(sys.platform != "linux", reason="the CSV split is Linux-only")
 def test_no_split_while_another_thread_runs():
     release = threading.Event()
@@ -681,6 +652,40 @@ class TestSplitCsv:
         monkeypatch.setattr(cli, "_fill", failing)
         assert self.split_run(tmp_path) == serial
         assert len(forks) == 4
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failure", ["raises", "killed"])
+    def test_unfinished_runs_are_formatted_in_their_place(self, tmp_path, serial, forks, monkeypatch, failure):
+        # curves.csv in 4 runs of one curve each, [0], [1], [-1] and [-2]: run 1's
+        # fork raises, run 3's child fails and run 2's child finishes.  data.csv
+        # is one block, written serially.
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(cli, "_CSV_PART_CELLS", 301)
+        monkeypatch.setattr(cli, "_TABLE_BLOCK_ROWS", 1204)
+        parent, fill, formatted, counted, calls = os.getpid(), cli._fill, [], os.fork, []
+
+        def fork():
+            calls.append(len(calls) + 1)  # the run this fork is for
+            if calls[-1] == 1:
+                raise OSError("no fork")
+            return counted()
+
+        def recorded(template, values):
+            curve = template.partition(",")[0]
+            if os.getpid() == parent:
+                formatted.append(curve)
+            elif curve == "-2":
+                if failure == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise MemoryError("child")
+            return fill(template, values)
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(cli, "_fill", recorded)
+        assert self.split_run(tmp_path) == serial
+        assert calls == [1, 2, 3]
+        assert len(forks) == 2
+        assert formatted == ["0", "1", "-2", "%.17g\n" * 1204]
         assert_no_child_left()
 
     @pytest.mark.parametrize("call", ["fork", "memfd_create"])

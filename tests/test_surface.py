@@ -301,10 +301,9 @@ def test_fork_guard_sees_a_second_call_site():
 
 def test_one_function_forks():
     # the CSV writer alone splits work across processes, through one fork,
-    # reap and done-flag loop
+    # reap and done-flag loop of its own
     sources = [path.read_text(encoding="utf-8") for path in SOURCES]
-    assert [name for source in sources for name in callers(source, "os.fork")] == ["_split"]
-    assert [name for source in sources for name in callers(source, "_split")] == ["_write_csv"]
+    assert [name for source in sources for name in callers(source, "os.fork")] == ["_write_csv"]
 
 
 def test_cpu_count_guard_sees_a_second_call_site():
@@ -335,7 +334,7 @@ def imported_modules(source: str) -> set[str]:
 
 def test_process_import_guard_sees_a_nested_import():
     assert imported_modules("def f():\n    import mmap\n    from os import path\n") == {"mmap", "os"}
-    assert imported_modules("from .cli import _split\nimport os.path\n") == {"os"}
+    assert imported_modules("from .cli import _write_csv\nimport os.path\n") == {"os"}
 
 
 @pytest.mark.parametrize("module", ["model", "resampling", "bagging", "diagnostics"])
