@@ -70,11 +70,16 @@ class InputError(Exception):
 
 
 def read_observations(path: Path) -> Dataset:
-    """Parse one observation per line; a non-numeric first line is a header."""
+    """Parse one observation per line; a non-numeric first line is a header.
+
+    A file that cannot be read, holds a bad line or holds no observation
+    raises ``ValueError``; its message names the line, and leaves naming
+    the file to the caller.
+    """
     try:
         text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read: {exc.strerror}") from exc
     values: list[float] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         token = raw.strip()
@@ -85,13 +90,11 @@ def read_observations(path: Path) -> Dataset:
         except ValueError:
             if lineno == 1:
                 continue  # header line
-            raise InputError(f"{path}: line {lineno}: not a number: {token!r}") from None
+            raise ValueError(f"line {lineno}: not a number: {token!r}") from None
         if not math.isfinite(value):
-            raise InputError(f"{path}: line {lineno}: non-finite input")
+            raise ValueError(f"line {lineno}: non-finite input")
         values.append(value)
-    if not values:
-        raise InputError("empty dataset")
-    return Dataset(tuple(values))
+    return Dataset(tuple(values))  # which refuses an empty dataset
 
 
 def synthetic_dataset(n: int, theta: float, sigma_sq: float, master: int) -> Dataset:
@@ -144,7 +147,7 @@ def _resolve(args):
                             ("--synthetic-theta", args.synthetic_theta)):
             if value is not None:
                 raise InputError(f"{flag}: only --synthetic-n generates data")
-        data = _checked("--input", read_observations, args.input)
+        data = _checked(f"--input {args.input}", read_observations, args.input)
     else:
         _check_count("--synthetic-n", args.synthetic_n)
         seed = DEFAULT_SEED if args.synthetic_seed is None else args.synthetic_seed

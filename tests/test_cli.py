@@ -905,7 +905,11 @@ class TestInputErrors:
             # the closed form's n * sigma_sq overflows, though the bag's variance would not
             (["bag", "--synthetic-n", "2", "--sigma-sq", "1e308", "--tau-sq", "1e308"],
              "--tau-sq/--sigma-sq"),
-            (["bag", "--input", "OVERFLOWING_FILE"], "--input"),
+            # every refusal of the file names the flag and the file
+            (["bag", "--input", "OVERFLOWING_FILE"], "--input OVERFLOWING_FILE: "),
+            (["bag", "--input", "HEADER_ONLY_FILE"], "--input HEADER_ONLY_FILE: empty dataset"),
+            (["curves", "--input", "MISSING_FILE"], "--input MISSING_FILE: cannot read: "),
+            (["bag", "--input", "NON_NUMERIC_ROW_FILE"], "--input NON_NUMERIC_ROW_FILE: line 3: "),
             (["bag", "--input", "ONE_VALUE_FILE", "--synthetic-seed", "7"], "--synthetic-seed"),
             (["bag", "--input", "ONE_VALUE_FILE", "--synthetic-theta", "3"], "--synthetic-theta"),
             # the posterior sd is below the float spacing at the data's magnitude
@@ -951,7 +955,8 @@ class TestInputErrors:
             "table1-mc-B-zero",
             "curves-B-one", "tau-sq-underflow", "sigma-sq-posterior-underflow",
             "closed-form-spread-overflow",
-            "input-sum-overflow", "input-with-synthetic-seed", "input-with-synthetic-theta",
+            "input-sum-overflow", "input-header-only", "input-missing", "input-non-numeric-row",
+            "input-with-synthetic-seed", "input-with-synthetic-theta",
             "input-1e308-nonparametric", "input-1e308-subsample-m1",
             "input-8e307-nonparametric", "input-8e307-subsample-m1",
             "theta-5-sigma-sq-1e-300-parametric", "theta-5-sigma-sq-1e-300-nonparametric",
@@ -971,14 +976,17 @@ class TestInputErrors:
             "FILE_1E308": ["1e308", "-1e308"],
             "FILE_8E307": ["8e307", "-8e307"],
             "ONE_VALUE_FILE": ["1.0"],
+            "HEADER_ONLY_FILE": ["observation"],
+            "NON_NUMERIC_ROW_FILE": ["observation", "1.0", "oops"],
         }
         for name, lines in files.items():
             write_lines(tmp_path / f"{name}.csv", lines)
-        argv = [str(tmp_path / f"{a}.csv") if a in files else a for a in argv]
+        paths = {name: str(tmp_path / f"{name}.csv") for name in [*files, "MISSING_FILE"]}
+        argv = [paths.get(a, a) for a in argv]
         assert main([*argv, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        assert flag in err
+        assert re.sub(r"\w+_FILE", lambda name: paths[name[0]], flag) in err
 
     @pytest.mark.parametrize("command", ["table1", "bag", "curves"])
     def test_out_naming_a_file_exits_2_before_any_output(self, tmp_path, capsys, command):
