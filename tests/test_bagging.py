@@ -1,6 +1,7 @@
 """Tests for exact, quadrature, and Monte Carlo bagged posteriors."""
 
 import collections
+import itertools
 import math
 import random
 import statistics
@@ -33,7 +34,7 @@ from bayesbag import (
 )
 from bayesbag import bagging
 from bayesbag.bagging import _component_values, _mixture_mean
-from bayesbag.model import _normal_cdf
+from bayesbag.model import _normal_cdf, _normal_pdf
 
 MODEL = GaussianLocationModel(tau_sq=4.0, sigma_sq=1.0)
 DATA_1 = Dataset((1.325,))
@@ -562,3 +563,102 @@ class TestIndexSchemeInterval:
             se = mc_quantile_se(post_sd, law, p, B_INTERVAL)
             tol = MC_SE_MULTIPLE * se + abs(shift) + MC_APPROX_REL * (want[1] - want[0])
             assert abs(end - want_end) <= tol
+
+
+# The exact bag of an index scheme.  Its CDF is F(u) = E Phi((u - Y)/s), the
+# CDF of Y + sZ, where Y is the replicate posterior mean k * (replicate mean),
+# k = size / (size + sigma_sq / tau_sq), and s the replicate posterior sd.
+# Gil-Pelaez (Biometrika 38, 1951) inverts its characteristic function
+# psi(t) = phi_Y(t) exp(-s^2 t^2 / 2):
+#     F(u) = 1/2 - (1/pi) int_0^inf Im[exp(-i t u) psi(t)] / t dt,
+# which the Gaussian factor lets stop at t = 9.5 / s, where it is below 3e-20.
+EXACT_NODES = 300
+EXACT_SPAN = 9.5
+# sds of the bag around its mean inside which quantiles are sought: the
+# Gauss-Legendre rule resolves exp(-i t u) only for u near the bag
+EXACT_REACH = 12.0
+
+
+class ExactBag:
+    """The exact bag of a nonparametric or subsample scheme: its CDF by Gil-Pelaez, its quantiles by bisection.
+
+    Nonparametric bootstrap: phi_Y(t) = (mean_j z_j)^n with z_j = exp(i t k x_j / n).
+    Subsample of m without replacement: phi_Y(t) = e_m(z) / C(n, m), with
+    z_j = exp(i t k x_j / m), by the convex recurrence
+    E_k <- ((j - k)/j) E_k + (k/j) z_j E_{k-1} over j = 1..n, in which no
+    binomial coefficient is formed.
+    """
+
+    def __init__(self, data, scheme):
+        n, x = data.n, np.array(data.observations)
+        bootstrap = scheme.kind is SchemeKind.NONPARAMETRIC_BOOTSTRAP
+        size = n if bootstrap else scheme.subsample_size_for(n)
+        s = posterior(MODEL, Dataset((0.0,) * size)).sd
+        k = size / (size + MODEL.sigma_sq / MODEL.tau_sq)
+        nodes, weights = np.polynomial.legendre.leggauss(EXACT_NODES)
+        half = EXACT_SPAN / s / 2.0
+        self.t, weights = half * (nodes + 1.0), half * weights
+        z = np.exp(1j * np.outer(k * x / size, self.t))
+        if bootstrap:
+            phi = z.mean(axis=0) ** n
+        else:
+            e = np.zeros((size + 1, self.t.size), dtype=complex)
+            e[0] = 1.0
+            order = np.arange(1, size + 1)[:, None]
+            for j, z_j in enumerate(z, start=1):
+                e[1:] = (j - order) / j * e[1:] + order / j * z_j * e[:-1]
+            phi = e[size]
+        self.terms = weights * phi * np.exp(-0.5 * (s * self.t) ** 2) / self.t
+        # Y has mean k * mean(x) and a variance of at most k^2 var(x) / size
+        mean, sd = k * data.mean, math.sqrt(s * s + k * k * x.var() / size)
+        self.bracket = (mean - EXACT_REACH * sd, mean + EXACT_REACH * sd)
+
+    def cdf(self, u):
+        return 0.5 - np.imag(np.exp(-1j * np.multiply.outer(u, self.t)) @ self.terms) / math.pi
+
+    def quantile(self, p):
+        lo, hi = self.bracket
+        while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+            lo, hi = (mid, hi) if self.cdf(mid) < p else (lo, mid)
+        return mid
+
+
+class TestExactIndexSchemeBag:
+    @pytest.mark.parametrize(
+        "n, scheme",
+        [(6, ResampleScheme.nonparametric()), (8, ResampleScheme.subsample(4))],
+        ids=["nonparametric-6", "subsample-8-4"],
+    )
+    def test_matches_enumeration(self, n, scheme):
+        # every equally likely replicate: the 6^6 index draws, or the 70 subsets of 4 of 8
+        x = np.random.default_rng(12).normal(0.8, 1.0, n)
+        data = Dataset(tuple(x.tolist()))
+        if scheme.kind is SchemeKind.NONPARAMETRIC_BOOTSTRAP:
+            replicates = np.array(list(itertools.product(x, repeat=n)))
+        else:
+            replicates = np.array(list(itertools.combinations(x, scheme.subsample_size_for(n))))
+        size = replicates.shape[1]
+        post = posterior(MODEL, Dataset((0.0,) * size))
+        means = size / (size + MODEL.sigma_sq / MODEL.tau_sq) * replicates.mean(axis=1)
+        u = np.linspace(x.min() - 1.5, x.max() + 1.5, 41)
+        want = _normal_cdf(u[:, None], means, post.sd).mean(axis=1)
+        assert np.abs(ExactBag(data, scheme).cdf(u) - want).max() <= 1e-11
+
+    @pytest.mark.parametrize(
+        "n, scheme, seed",
+        [(1000, ResampleScheme.nonparametric(), 41), (100, ResampleScheme.subsample(), 42)],
+        ids=["nonparametric-1000", "subsample-100"],
+    )
+    def test_monte_carlo_interval_within_its_error_of_exact(self, normal_samples, n, scheme, seed):
+        # an endpoint's standard error is that of the mixture CDF at the exact
+        # endpoint, sd(component CDFs) / sqrt(B), over the mixture density there
+        data, replicates = normal_samples[n], 10_000
+        exact = ExactBag(data, scheme)
+        mix = bayesbag_mc(MODEL, data, BagConfig(replicates, scheme, seed))
+        got = credible_interval(mix)
+        for end, p in ((got.lo, 0.025), (got.hi, 0.975)):
+            want = exact.quantile(p)
+            assert abs(exact.cdf(want) - p) <= 1e-12
+            values = _normal_cdf(want, mix.means, mix.sds)
+            se = values.std() / math.sqrt(replicates) / _normal_pdf(want, mix.means, mix.sds).mean()
+            assert abs(end - want) <= MC_SE_MULTIPLE * se
