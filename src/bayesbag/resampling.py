@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import Dataset, GaussianLocationModel, NormalDist, _count, np, posterior
+from .model import _KERNEL_BLOCK, Dataset, GaussianLocationModel, NormalDist, _count, np, posterior
 
 __all__ = [
     "SchemeKind",
@@ -228,13 +228,8 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _stream_states(master: int, start: int, stop: int):
-    """``bit_generator.state`` of ``Seed(master, b).rng()`` for ``start <= b < stop``.
-
-    Yields one dict per replicate, in order, equal to that of
-    ``np.random.default_rng(np.random.SeedSequence((master, b)))``; ``master``
-    is below 2**64.
-    """
+def _stream_seeds(master: int, start: int, stop: int) -> list[list[int]]:
+    """The four 64-bit words of PCG64's seed for ``start <= b < stop``, one list per word."""
     indices = np.arange(start, stop, dtype=np.uint64)
     # an index's high word of 0, which SeedSequence drops, hashes as its absent pool word
     entropy = [np.full_like(indices, word) for word in _words(master)]
@@ -251,9 +246,18 @@ def _stream_states(master: int, start: int, stop: int):
     for i in range(8):
         word = (pool[i % 4] ^ _HASH_B[i]) * _HASH_B[i + 1] & _MASK32
         words.append(word ^ word >> _SHIFT)
-    seed = [(words[2 * j] | words[2 * j + 1] << _WORD).tolist() for j in range(4)]
+    return [(words[2 * j] | words[2 * j + 1] << _WORD).tolist() for j in range(4)]
+
+
+def _stream_states(master: int, start: int, stop: int):
+    """``bit_generator.state`` of ``Seed(master, b).rng()`` for ``start <= b < stop``.
+
+    Yields one dict per replicate, in order, equal to that of
+    ``np.random.default_rng(np.random.SeedSequence((master, b)))``; ``master``
+    is below 2**64.  Only the seeds stay alive between the yields.
+    """
     # pcg64_set_seed: two LCG steps from state 0, adding the seed in between
-    for state_hi, state_lo, inc_hi, inc_lo in zip(*seed):
+    for state_hi, state_lo, inc_hi, inc_lo in zip(*_stream_seeds(master, start, stop)):
         inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
         state = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULTIPLIER + inc) & _MASK128
         yield {
@@ -304,18 +308,99 @@ def _limb_table(values: np.ndarray, size: int) -> tuple[np.ndarray, int] | None:
 
 
 def _limb_sum(limbs: np.ndarray, exponent: int, counts: np.ndarray) -> float | None:
-    """``fsum`` of observation ``i`` taken ``counts[i]`` times, from its limbs.
+    """``fsum`` of observation ``i`` taken ``counts[i]`` times, from its limbs (see :func:`_limb_round`)."""
+    return _limb_round((limbs @ counts).tolist(), exponent)
+
+
+def _limb_round(parts, exponent: int) -> float | None:
+    """``fsum`` of a replicate whose limb ``k`` sums to ``parts[k]``.
 
     The exact integer sum is rounded once, as ``fsum`` rounds.  None when
     the sum is 0, whose sign is ``fsum``'s to give, or below 2**-1022,
     where scaling a rounded float would round twice.
     """
     total = 0
-    for k, part in enumerate((limbs @ counts).tolist()):
+    for k, part in enumerate(parts):
         total += part << _LIMB_BITS * k
     if total and total.bit_length() + exponent > -1022:
         return math.ldexp(float(total), exponent)
     return None
+
+
+def _index_total(scheme: ResampleScheme, values: np.ndarray, table, rng: np.random.Generator) -> float:
+    """``fsum`` of one index replicate drawn from ``rng``: from the limbs, or of its draws."""
+    positions = _positions(scheme, values.shape[0], rng)
+    total = None if table is None else _limb_sum(*table, np.bincount(positions, minlength=values.shape[0]))
+    return math.fsum(values[positions].tolist()) if total is None else total
+
+
+def _lemire(words: np.ndarray, bounds: np.ndarray, out: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """numpy's bounded draws below ``bounds`` from 32-bit ``words``, and the rows that reject one.
+
+    ``words`` holds one replicate's 32-bit stream per row, and ``bounds``
+    (uint64, each in [2, 2**32)) one bound, or one per column.  Draw ``i``
+    is ``(words[i] * bound) >> 32``, written into ``out`` (uint64, of
+    ``words``' shape; ``low`` is bool scratch of that shape).  As numpy's
+    ``buffered_bounded_lemire_uint32`` does, the draw is rejected when the
+    product's low 32 bits are below ``(2**32 - bound) % bound``; numpy then
+    takes the next word, which moves every later draw of the row, so the
+    row's flag is set.  Returns the flags, one per row.
+    """
+    np.multiply(words, bounds, out=out, dtype=np.uint64)
+    # little-endian: a product's low 32 bits come first
+    np.less(out.view(np.uint32)[:, ::2], (2**32 - bounds) % bounds, out=low)
+    np.right_shift(out, 32, out=out)
+    return low.any(axis=1)
+
+
+def _floyd(drawn: np.ndarray, n: int) -> None:
+    """Turn rows of Floyd draws into the sample they choose from ``n``, in place.
+
+    ``drawn[:, k]`` is draw ``k`` of ``m`` below ``j + 1``, with
+    ``j = n - m + k``.  Step ``k`` of Floyd's algorithm, as
+    ``Generator.choice(n, m, replace=False)`` runs it, chooses the draw, or
+    ``j`` when the draw is chosen already.  A draw is chosen already when an
+    earlier draw equals it, or when it equals the ``j`` of an earlier step
+    ``i = draw - (n - m)`` that chose its ``j``.  Each step thus points at
+    most at one earlier step, and the chains of pointers are followed by
+    pointer doubling over the whole block at once.
+    """
+    rows, m = drawn.shape
+    steps = np.arange(m)
+    rows_at = np.arange(0, rows * m, m)[:, None]  # flat index of each row's step 0
+    # an earlier equal draw: order each row by (draw, step)
+    shift = m.bit_length()
+    keys = drawn << shift | steps
+    keys.sort(axis=1)
+    taken = np.zeros(rows * m, dtype=bool)
+    taken[(keys[:, 1:] & (1 << shift) - 1) + rows_at] = (keys[:, 1:] ^ keys[:, :-1]) >> shift == 0
+    # the draw less its step's j; from an earlier step's j it points there, else at its own step
+    offset = np.subtract(drawn, steps + (n - m), out=keys)
+    pointer = offset * (offset >= -steps)
+    pointer += steps
+    pointer += rows_at
+    pointer = pointer.reshape(-1)
+    while True:
+        taken |= taken[pointer]
+        hops = pointer[pointer]
+        if np.array_equal(hops, pointer):
+            break
+        pointer = hops
+    drawn -= offset * taken.reshape(drawn.shape)
+
+
+def _block_draws(subsample: bool, n: int, size: int, table) -> bool:
+    """Whether a block can redo numpy's draws of an index replicate and sum them in limbs.
+
+    numpy draws a nonparametric replicate with Lemire's method when
+    ``2 <= n <= 2**32 - 1`` (it draws nothing for ``n = 1``), and a
+    subsample with Floyd's algorithm when ``n <= 10_000`` or
+    ``size <= n // 50``, where every step draws when ``size < n``; beyond
+    that ``choice`` shuffles.  The 32-bit words are read little-endian.
+    """
+    if table is None or not np.little_endian or not 1 < n < 2**32:
+        return False
+    return not subsample or size < n and (n <= 10_000 or size <= n // 50)
 
 
 def replicate_means(
@@ -333,38 +418,83 @@ def replicate_means(
     size.  Raises ``ValueError`` when a replicate's sum overflows or its
     mean is not finite.
 
-    The draws are those of :func:`resample`, from one generator whose
-    state is set to each stream's in turn (:func:`_stream_states`), a
-    batch of ``_SEED_BATCH`` replicates at a time.  The index schemes sum
-    exactly in integers: a replicate's sum is its draw counts times the
-    observations' limbs (:func:`_limb_table`), rounded once, which is what
-    ``fsum`` returns (:func:`_limb_sum`).  The parametric scheme, and data
-    or sums the limbs cannot hold, sum the draws with ``fsum``.
+    One generator's state is set to each stream's in turn
+    (:func:`_stream_states`, taken lazily), and each replicate makes one
+    generator call, into its row of a block of at most ``_KERNEL_BLOCK``
+    cells (rows times the replicate's size); the rest runs once per
+    block.  The parametric scheme calls ``standard_normal``; its block is
+    scaled and shifted at once, and each row summed with ``fsum``.  The
+    index schemes call ``random_raw`` for 64-bit words, the 32-bit stream
+    that numpy's bounded draws read, each word's low half first.  A block
+    redoes numpy's draws from them (:func:`_lemire`, then :func:`_floyd`
+    for a subsample) and sums each replicate exactly in integers: its
+    drawn observations' limbs (:func:`_limb_table`), rounded once, which
+    is ``fsum``'s result (:func:`_limb_round`).  A replicate whose draws
+    numpy rejected, or whose limb sum cannot be rounded, is drawn again
+    from ``Seed(master, b).rng()`` and summed by :func:`_index_total`.
+    Where a block cannot redo numpy's draws (:func:`_block_draws`), every
+    replicate takes that path, on the reused generator.
     """
     master = Seed(master).master
     center = _center(center_policy, model, data)
     values = np.asarray(data.observations)
     n = values.shape[0]
     size = scheme.subsample_size_for(n) if scheme.kind is SchemeKind.SUBSAMPLE else n
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    states = (
+        state
+        for start in range(0, replicates, _SEED_BATCH)
+        for state in _stream_states(master, start, min(start + _SEED_BATCH, replicates))
+    )
+    rows = max(1, min(replicates, _KERNEL_BLOCK // n))
     table = None
     if scheme.kind is not SchemeKind.PARAMETRIC_BOOTSTRAP:
         table = _limb_table(values, size)
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
+    subsample = scheme.kind is SchemeKind.SUBSAMPLE
     means = np.empty(replicates)
     try:
-        for start in range(0, replicates, _SEED_BATCH):
-            stop = min(start + _SEED_BATCH, replicates)
-            for b, state in zip(range(start, stop), _stream_states(master, start, stop)):
+        if scheme.kind is SchemeKind.PARAMETRIC_BOOTSTRAP:
+            draws = np.empty((rows, n))
+            for start in range(0, replicates, rows):
+                block = draws[:min(rows, replicates - start)]
+                for row, state in zip(block, states):
+                    bit_generator.state = state
+                    rng.standard_normal(out=row)
+                np.multiply(block, math.sqrt(model.sigma_sq), out=block)
+                np.add(block, center, out=block)
+                for b, row in enumerate(block, start):
+                    means[b] = math.fsum(row.tolist()) / size
+        elif not _block_draws(subsample, n, size, table):
+            for b, state in enumerate(states):
                 bit_generator.state = state
-                if table is None:
-                    total = math.fsum(_draws(scheme, model, values, center, rng).tolist())
-                else:
-                    positions = _positions(scheme, n, rng)
-                    total = _limb_sum(*table, np.bincount(positions, minlength=n))
+                means[b] = _index_total(scheme, values, table, rng) / size
+        else:
+            words = np.empty((rows, -(-size // 2)), dtype=np.uint64)
+            drawn = np.empty((rows, size), dtype=np.uint64)
+            low = np.empty((rows, size), dtype=bool)
+            gathered = np.empty((rows, size), dtype=np.int64)
+            bounds = np.arange(n - size + 1, n + 1, dtype=np.uint64) if subsample else np.uint64(n)
+            limbs, exponent = table
+            for start in range(0, replicates, rows):
+                block = words[:min(rows, replicates - start)]
+                for row, state in zip(block, states):
+                    bit_generator.state = state
+                    row[:] = bit_generator.random_raw(row.size)
+                count = block.shape[0]
+                rejected = _lemire(block.view(np.uint32)[:, :size], bounds, drawn[:count], low[:count])
+                positions = drawn[:count].view(np.int64)
+                if subsample:
+                    _floyd(positions, n)
+                sums = [
+                    np.take(limb, positions, out=gathered[:count], mode="clip").sum(axis=1).tolist()
+                    for limb in limbs
+                ]
+                for b, flag, parts in zip(range(start, start + count), rejected.tolist(), zip(*sums)):
+                    total = None if flag else _limb_round(parts, exponent)
                     if total is None:
-                        total = math.fsum(values[positions].tolist())
-                means[b] = total / size
+                        total = _index_total(scheme, values, table, Seed(master, b).rng())
+                    means[b] = total / size
     except OverflowError:
         raise ValueError("sum of replicate observations overflows") from None
     if not np.isfinite(means).all():

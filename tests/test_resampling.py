@@ -1,6 +1,7 @@
 """Tests for seeded dataset perturbation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,12 +147,124 @@ class TestReplicateMeans:
 
     def test_non_finite_replicate_mean_is_value_error(self, monkeypatch):
         # only parametric draws can be infinite: an index replicate's sum of
-        # finite observations is finite or raises as an overflow
-        monkeypatch.setattr(resampling, "_draws", lambda *args: np.array([math.inf, 1.0]))
+        # finite observations is finite or raises as an overflow.  An
+        # infinite center makes every parametric draw infinite.
+        monkeypatch.setattr(resampling, "_center", lambda *args: math.inf)
         with pytest.raises(ValueError, match="non-finite"):
             resampling.replicate_means(
                 ResampleScheme.parametric(), MODEL, DATA_10, CenterPolicy.SAMPLE_MEAN, 1, 3
             )
+
+
+def _normal_data(n, seed=1):
+    return Dataset(tuple(np.random.default_rng(seed).normal(0.8, 1.0, n).tolist()))
+
+
+def _resample_means(scheme, data, master, replicates):
+    center = CenterPolicy.SAMPLE_MEAN
+    return [resample(scheme, MODEL, data, center, Seed(master, b)).mean for b in range(replicates)]
+
+
+class TestBlockEngine:
+    """The block engine's means equal resample's, across block and seeding-batch boundaries."""
+
+    @pytest.mark.parametrize(
+        "scheme, n",
+        [(ResampleScheme.nonparametric(), n) for n in (1, 2, 1000)]
+        # (10001, 200) is choice's last Floyd case there, (10001, 201) its first tail shuffle
+        + [(ResampleScheme.subsample(m), n) for n, m in ((1, 1), (7, 7), (7, 1), (100, 50), (10001, 200), (10001, 201))]
+        + [(ResampleScheme.parametric(), n) for n in (1, 10)],
+        ids=lambda value: value.kind.value if isinstance(value, ResampleScheme) else f"n={value}",
+    )
+    def test_equal_resample_means(self, scheme, n):
+        data = _normal_data(n)
+        rows = max(1, resampling._KERNEL_BLOCK // n)
+        replicates = max(rows, resampling._SEED_BATCH) + 3
+        size, means = resampling.replicate_means(scheme, MODEL, data, CenterPolicy.SAMPLE_MEAN, 29, replicates)
+        expected = _resample_means(scheme, data, 29, replicates)
+        assert means.tolist() == expected
+        assert [math.copysign(1.0, m) for m in means] == [math.copysign(1.0, m) for m in expected]
+
+    def test_rejected_draw_is_flagged(self):
+        # 0 * 1000 has low bits 0, below numpy's threshold (2**32 - 1000) % 1000 = 296
+        words = np.ones((2, 1000), dtype=np.uint32)
+        words[1, 999] = 0
+        out, low = np.empty(words.shape, dtype=np.uint64), np.empty(words.shape, dtype=bool)
+        assert resampling._lemire(words, np.uint64(1000), out, low).tolist() == [False, True]
+
+    @pytest.mark.parametrize(
+        "scheme, n",
+        [(ResampleScheme.nonparametric(), 1000), (ResampleScheme.subsample(), 100)],
+        ids=["nonparametric", "subsample"],
+    )
+    def test_flagged_replicates_are_drawn_again(self, scheme, n, monkeypatch):
+        lemire = resampling._lemire
+
+        def flag_every_row(*args):
+            return np.ones_like(lemire(*args))
+
+        monkeypatch.setattr(resampling, "_lemire", flag_every_row)
+        data = _normal_data(n)
+        _, means = resampling.replicate_means(scheme, MODEL, data, CenterPolicy.SAMPLE_MEAN, 8, 40)
+        assert means.tolist() == _resample_means(scheme, data, 8, 40)
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [ResampleScheme.nonparametric(), ResampleScheme.subsample(), ResampleScheme.parametric()],
+        ids=lambda scheme: scheme.kind.value,
+    )
+    def test_memory_stays_small(self, scheme):
+        # one block of at most _KERNEL_BLOCK cells and one seeding batch;
+        # 1,024-row blocks would peak far above this.  A parametric block
+        # holds the same cells at 10 observations, where tracing the fsum
+        # of each replicate's floats takes 0.3 s, not the 30 s of 1,000.
+        n = 10 if scheme.kind is SchemeKind.PARAMETRIC_BOOTSTRAP else 1000
+        data, center = _normal_data(n), CenterPolicy.SAMPLE_MEAN
+        resampling.replicate_means(scheme, MODEL, data, center, 4, 20)
+        tracemalloc.start()
+        try:
+            resampling.replicate_means(scheme, MODEL, data, center, 4, 10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+
+
+# bounds whose draws numpy rejects at rates from 0 to 1/4 (3 * 2**30 + 1)
+LEMIRE_BOUNDS = (2, 3, 7, 1000, 3 * 2**30 + 1, 2**32 - 1)
+# Floyd's (n, m) up to choice's cut-over, where n > 10_000 needs m <= n // 50
+FLOYD_SIZES = ((2, 1), (5, 3), (8, 7), (100, 50), (100, 99), (1000, 500), (10_000, 9_999), (2**20, 100))
+
+
+class TestNumpyDraws:
+    """The block's draws are numpy's own: a numpy release that changes either algorithm fails here."""
+
+    @staticmethod
+    def _words(master, b, count):
+        words = Seed(master, b).rng().bit_generator.random_raw(-(-count // 2))
+        return words.view(np.uint32)[None, :count]
+
+    @pytest.mark.parametrize("bound", LEMIRE_BOUNDS)
+    def test_lemire_equals_integers(self, bound):
+        draws, flagged = 9, 0
+        out, low = np.empty((1, draws), dtype=np.uint64), np.empty((1, draws), dtype=bool)
+        for b in range(300):
+            rejected = resampling._lemire(self._words(41, b, draws), np.uint64(bound), out, low)[0]
+            flagged += rejected
+            if not rejected:
+                assert out[0].tolist() == Seed(41, b).rng().integers(0, bound, size=draws).tolist()
+        assert 0 < flagged < 300 if bound == 3 * 2**30 + 1 else flagged < 3
+
+    @pytest.mark.parametrize("n, m", FLOYD_SIZES)
+    def test_floyd_equals_choice(self, n, m):
+        out, low = np.empty((1, m), dtype=np.uint64), np.empty((1, m), dtype=bool)
+        bounds = np.arange(n - m + 1, n + 1, dtype=np.uint64)
+        for b in range(60):
+            if resampling._lemire(self._words(43, b, m), bounds, out, low)[0]:
+                continue
+            chosen = out.view(np.int64)
+            resampling._floyd(chosen, n)
+            assert sorted(chosen[0].tolist()) == sorted(Seed(43, b).rng().choice(n, m, replace=False).tolist())
 
 
 # the masters at and around each 32-bit word boundary of SeedSequence's entropy
