@@ -159,9 +159,9 @@ class MixtureCdf:
         return self.means.shape[0]
 
 
-def _component_values(mix: MixtureCdf, points: np.ndarray) -> np.ndarray:
-    """CDF value of every component at every point, shape (len(points), B)."""
-    return _normal_cdf(points[:, None], mix.means, mix.sds)
+def _component_values(mix: MixtureCdf, points: np.ndarray, out=None, work=None) -> np.ndarray:
+    """CDF value of every component at every point, shape (len(points), B), into ``out`` (see :func:`_normal_cdf`)."""
+    return _normal_cdf(points[:, None], mix.means, mix.sds, out, work)
 
 
 def _mixture_mean(values: np.ndarray) -> np.ndarray:

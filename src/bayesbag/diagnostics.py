@@ -152,12 +152,17 @@ def _chunked_curve(mix, grid: np.ndarray, values: np.ndarray | None = None) -> n
     larger), so only one block of the points-by-components matrix is held
     at a time.  Every point still reduces its row in the same pairwise
     order, so the curve is the same bit for bit.  ``values``, a
-    ``(len(grid), B)`` array, also receives every block.
+    ``(len(grid), B)`` array, also receives every block.  The block and
+    the kernel's temporaries are allocated once, so their memory stays
+    mapped from one block to the next.
     """
     curve = np.empty(grid.shape)
     step = max(1, _KERNEL_BLOCK // len(mix))
+    cells = np.empty((min(step, grid.shape[0]), len(mix)))
+    work = np.empty((4, min(cells.size, _KERNEL_BLOCK)))
     for i in range(0, grid.shape[0], step):
-        block = _component_values(mix, grid[i:i + step])
+        points = grid[i:i + step]
+        block = _component_values(mix, points, cells[:len(points)], work)
         curve[i:i + step] = _mixture_mean(block)
         if values is not None:
             values[i:i + step] = block

@@ -28,8 +28,9 @@ normal quantile through the standard library's:
   (0, 1): Wichura's algorithm AS241 (Appl. Statist. 37, 1988).
 
 One set of branch functions (:func:`_erf`, :func:`_half_erfc` and the
-:func:`_horner` and :func:`_exp_neg_square` they call) works on an array in
-fresh buffers of its own.  So :func:`_ndtr` is strictly elementwise: output
+:func:`_horner` and :func:`_exp_neg_square` they call) works on an array,
+in fresh buffers or in scratch buffers a caller passes, with the same
+operations either way.  So :func:`_ndtr` is strictly elementwise: output
 ``i`` depends only on input ``i``, whatever the array's shape or the
 element's position in it, and a scalar evaluation equals the same point of
 a grid evaluation bit for bit.
@@ -119,9 +120,9 @@ _PDF_ZERO_Z = 40.0
 _std_normal_inv_cdf = statistics.NormalDist().inv_cdf
 
 
-def _horner(x, coefs):
-    """``coefs[0] x^k + ... + coefs[k]`` for an array ``x``, rounding as Cephes does."""
-    acc = x * coefs[0]
+def _horner(x, coefs, out=None):
+    """``coefs[0] x^k + ... + coefs[k]`` for an array ``x``, rounding as Cephes does, into ``out``."""
+    acc = np.multiply(x, coefs[0], out=out)
     acc += coefs[1]
     for c in coefs[2:]:
         acc *= x
@@ -129,24 +130,25 @@ def _horner(x, coefs):
     return acc
 
 
-def _exp_neg_square(z):
+def _exp_neg_square(z, out=None, m=None, g=None):
     """``exp(-z^2)`` as ``exp(-m^2) exp(-f(2m + f))``, ``m`` the nearest multiple of 1/128.
 
     ``m^2`` is exact and ``f = z - m`` is small, so the result carries the
     rounding of two exponentials, not the rounding of ``z^2``, an error in
-    the exponent that grows as ``z^2``.
+    the exponent that grows as ``z^2``.  The result goes into ``out``, and
+    ``m`` and ``g`` are scratch of ``z``'s shape (each fresh when None).
     """
-    m = z * 128.0
+    m = np.multiply(z, 128.0, out=m)
     m += 0.5
-    m = np.floor(m)
+    m = np.floor(m, out=m)
     m *= 1.0 / 128.0
-    g = m - z  # -f, exact: m is within 1/256 of z
-    y = m * 2.0
+    g = np.subtract(m, z, out=g)  # -f, exact: m is within 1/256 of z
+    y = np.multiply(m, 2.0, out=out)
     y -= g
     y *= g
     m *= -m
-    y = np.exp(y)
-    y *= np.exp(m)
+    y = np.exp(y, out=y)
+    y *= np.exp(m, out=m)
     return y
 
 
@@ -156,49 +158,62 @@ def _erf(x):
     return x * _horner(xx, _ERF_T) / _horner(xx, _ERF_U)
 
 
-def _half_erfc(z, num, den):
-    """``erfc(z) / 2`` with the ``num``/``den`` rational of ``z``'s range."""
-    y = _exp_neg_square(z)
-    y *= _horner(z, num)
-    y /= _horner(z, den)
+def _half_erfc(z, num, den, out=None, m=None, g=None):
+    """``erfc(z) / 2`` with the ``num``/``den`` rational of ``z``'s range, into ``out`` (``m``, ``g``: scratch)."""
+    y = _exp_neg_square(z, out, m, g)
+    y *= _horner(z, num, m)
+    y /= _horner(z, den, m)
     y *= 0.5
     return y
 
 
-def _ndtr(a):
+def _ndtr(a, out=None, work=None):
     """Standard normal CDF of ``a``, elementwise; see the module docstring.
 
     ``-inf`` and ``inf`` map to 0 and 1 and NaN to NaN, with no warning.
     The result is an array of ``a``'s shape (0-d for a scalar), evaluated
     in blocks of ``_KERNEL_BLOCK`` elements of its flattened form: the P/Q
     branch runs over the whole block on ``|x|`` clipped into its range, and
-    the cells of the other two branches are then overwritten.
+    the cells of the other two branches are then overwritten.  It goes into
+    ``out``, a C-contiguous float array of ``a``'s shape, which may be
+    ``a`` itself.  ``work``, float scratch of shape ``(4, k)`` with ``k``
+    at least the smaller of ``a.size`` and ``_KERNEL_BLOCK``, holds a
+    block's temporaries; a caller that evaluates many arrays passes the
+    same one, so that their memory is not handed back to the system and
+    faulted in again between calls.  Each is fresh when None.
     """
     a = np.asarray(a, dtype=float)
     flat = a.reshape(-1)
-    out = np.empty(flat.shape)
+    out = np.empty(flat.shape) if out is None else out.reshape(-1)
+    if work is None:
+        work = np.empty((4, min(flat.size, _KERNEL_BLOCK)))
     for start in range(0, flat.size, _KERNEL_BLOCK):
-        x = flat[start:start + _KERNEL_BLOCK] * _SQRT_HALF
-        z = np.abs(x)
+        stop = min(start + _KERNEL_BLOCK, flat.size)
+        x, z, m, g = (row[:stop - start] for row in work)
+        np.multiply(flat[start:stop], _SQRT_HALF, out=x)
+        np.abs(x, out=z)
         small = np.flatnonzero(z < 1.0)
         tail = np.flatnonzero(x <= -8.0)
-        y = _half_erfc(np.clip(z, 1.0, 8.0, out=z), _ERFC_P, _ERFC_Q)
+        y = _half_erfc(np.clip(z, 1.0, 8.0, out=z), _ERFC_P, _ERFC_Q, out[start:stop], m, g)
         np.subtract(1.0, y, out=y, where=x > 0.0)
         if small.size:
             y[small] = 0.5 + 0.5 * _erf(x[small])
         if tail.size:
             y[tail] = _half_erfc(np.minimum(-x[tail], _ERFC_ZERO_Z), _ERFC_R, _ERFC_S)
-        out[start:start + y.size] = y
     return out.reshape(a.shape)
 
 
-def _normal_cdf(u, mean, sd):
+def _normal_cdf(u, mean, sd, out=None, work=None):
     """Normal CDF at ``u`` for broadcastable ``u``, ``mean`` and positive ``sd``.
 
     ``_ndtr((u - mean) / sd)``: full relative precision in the lower tail
     (the upper tail rounds to 1 past ``a`` of about 8.3), elementwise.
+    ``out`` (a C-contiguous float array of the broadcast shape) receives
+    the standardised values and then, in place, the CDF; ``work`` is
+    :func:`_ndtr`'s.
     """
-    return _ndtr((u - mean) / sd)
+    a = np.divide(np.subtract(u, mean, out=out), sd, out=out)
+    return _ndtr(a, out, work)
 
 
 def _normal_pdf(u, mean, sd):

@@ -243,7 +243,9 @@ class TestChunkedBagCurve:
         # diagnostics._component_values returns, so a band must count B x G
         cells, values = [], diagnostics._component_values
         monkeypatch.setattr(
-            diagnostics, "_component_values", lambda mix, points: cells.append(values(mix, points)) or cells[-1]
+            diagnostics,
+            "_component_values",
+            lambda mix, points, *scratch: cells.append(values(mix, points, *scratch)) or cells[-1],
         )
         band = build_band(MODEL, DATA_10, BagConfig(self.REPLICATES, ResampleScheme.nonparametric(), seed=8))
         assert sum(block.size for block in cells) == self.REPLICATES * band.grid.shape[0]
