@@ -140,14 +140,14 @@ def _exp_neg_square(z, out=None, m=None, g=None):
     """
     m = np.multiply(z, 128.0, out=m)
     m += 0.5
-    m = np.floor(m, out=m)
+    np.floor(m, out=m)
     m *= 1.0 / 128.0
     g = np.subtract(m, z, out=g)  # -f, exact: m is within 1/256 of z
     y = np.multiply(m, 2.0, out=out)
     y -= g
     y *= g
     m *= -m
-    y = np.exp(y, out=y)
+    np.exp(y, out=y)
     y *= np.exp(m, out=m)
     return y
 

@@ -15,9 +15,17 @@ building a :class:`Dataset` per replicate; the Monte Carlo bag is computed
 from them.  It builds no generator per replicate either: it computes the
 streams' PCG64 states a batch of indices at a time, by numpy's
 ``SeedSequence`` hash vectorised over ``b``, and loads each into one
-reused generator.  The index schemes (nonparametric and subsample) sum
-each replicate exactly in integers, from its draw counts and the
-observations' integer limbs, and round once, which is ``fsum``'s result.
+reused generator, which makes one call per replicate into a block of
+rows; the rest of the work runs once per block.  For the index schemes
+(nonparametric and subsample) that call takes the stream's raw 64-bit
+words, and the block redoes numpy's draws from them: the bounded 32-bit
+integers of ``Generator.integers`` by Lemire's method, and the Floyd
+sample of ``Generator.choice(n, m, replace=False)``.  It sums each
+replicate exactly in integers, from the observations' integer limbs, and
+rounds once, which is ``fsum``'s result.  A replicate whose draws numpy
+would reject and redraw, or whose sum the limbs cannot round, is drawn
+again on its own; sizes and data where numpy draws otherwise, or which the
+limbs cannot hold, take that per-replicate path throughout.
 :meth:`Seed.rng` and :func:`resample` stay the reference path that this
 reproduces bit for bit.  The parametric bootstrap draws around the center
 a :class:`CenterPolicy` names, which :func:`_center` alone computes.
@@ -374,7 +382,7 @@ def _floyd(drawn: np.ndarray, n: int) -> None:
     keys.sort(axis=1)
     taken = np.zeros(rows * m, dtype=bool)
     taken[(keys[:, 1:] & (1 << shift) - 1) + rows_at] = (keys[:, 1:] ^ keys[:, :-1]) >> shift == 0
-    # the draw less its step's j; from an earlier step's j it points there, else at its own step
+    # offset = draw - j <= 0: a draw of an earlier step's j points at that step, others at their own
     offset = np.subtract(drawn, steps + (n - m), out=keys)
     pointer = offset * (offset >= -steps)
     pointer += steps
