@@ -428,11 +428,11 @@ def replicate_means(
 
     One generator's state is set to each stream's in turn
     (:func:`_stream_states`, taken lazily), and each replicate makes one
-    generator call, into its row of a block of at most ``_KERNEL_BLOCK``
-    cells (rows times the replicate's size); the rest runs once per
-    block.  The parametric scheme calls ``standard_normal``; its block is
-    scaled and shifted at once, and each row summed with ``fsum``.  The
-    index schemes call ``random_raw`` for 64-bit words, the 32-bit stream
+    generator call, into its row of a block of ``_KERNEL_BLOCK // n`` rows
+    (at least one) for ``n`` observations; the rest runs once per block.
+    The parametric scheme calls ``standard_normal``; its block is scaled
+    and shifted at once, and each row summed with ``fsum``.  The index
+    schemes call ``random_raw`` for 64-bit words, the 32-bit stream
     that numpy's bounded draws read, each word's low half first.  A block
     redoes numpy's draws from them (:func:`_lemire`, then :func:`_floyd`
     for a subsample) and sums each replicate exactly in integers: its

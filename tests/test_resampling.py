@@ -170,11 +170,13 @@ class TestBlockEngine:
 
     @pytest.mark.parametrize(
         "scheme, n",
-        [(ResampleScheme.nonparametric(), n) for n in (1, 2, 1000)]
+        [pytest.param(ResampleScheme.nonparametric(), n, id=f"nonparametric-{n}") for n in (1, 2, 1000)]
         # (10001, 200) is choice's last Floyd case there, (10001, 201) its first tail shuffle
-        + [(ResampleScheme.subsample(m), n) for n, m in ((1, 1), (7, 7), (7, 1), (100, 50), (10001, 200), (10001, 201))]
-        + [(ResampleScheme.parametric(), n) for n in (1, 10)],
-        ids=lambda value: value.kind.value if isinstance(value, ResampleScheme) else f"n={value}",
+        + [
+            pytest.param(ResampleScheme.subsample(m), n, id=f"subsample-{n}-{m}")
+            for n, m in ((1, 1), (7, 7), (7, 1), (100, 50), (10001, 200), (10001, 201))
+        ]
+        + [pytest.param(ResampleScheme.parametric(), n, id=f"parametric-{n}") for n in (1, 10)],
     )
     def test_equal_resample_means(self, scheme, n):
         data = _normal_data(n)
